@@ -19,7 +19,6 @@ import numpy as np
 from membrane_eig import (
     NeoHookeanSheet,
     energy_eigensystem,
-    evaluate_model,
     fd_hessian6,
     invariants,
     jacobi_eigen_sym,
@@ -44,7 +43,7 @@ print("\nmax |closed - generic| =", np.max(np.abs(eig.values - generic.values)))
 
 # Route three: finite differences of psi plus a Jacobi eigensolve.
 def psi(x):
-    return evaluate_model(model, invariants(svd32(x))).psi
+    return model.derivs(invariants(svd32(x))).psi
 
 oracle = jacobi_eigen_sym(fd_hessian6(psi, f))
 print("max |closed - FD oracle| =",

@@ -46,11 +46,9 @@ from .models import (
     DomainError,
     ModelDerivs,
     NeoHookeanSheet,
-    ProjectedHessian,
     energy_eigensystem,
     energy_gradient,
     energy_hvp,
-    evaluate_model,
     project_psd,
     sheet_eigensystem,
 )
@@ -91,7 +89,6 @@ __all__ = [
     "NeoHookeanSheet",
     "NewtonConfig",
     "NotSymmetric",
-    "ProjectedHessian",
     "RestElement",
     "SIGMA_EPS",
     "SolveReport",
@@ -104,7 +101,6 @@ __all__ = [
     "energy_eigensystem",
     "energy_gradient",
     "energy_hvp",
-    "evaluate_model",
     "fd_gradient",
     "fd_hessian6",
     "grid_mesh",

@@ -6,16 +6,9 @@ until I3 > 0.05 for sheet checks), runs each named check, and returns one
 CheckReport per check.  Failures are reported with the worst counterexample,
 never raised.  Mesh- and solver-level checks run a documented fraction of
 the requested trial count; each report records its actual count.
-
-Parallelism: the MEMBRANE_EIG_THREADS environment variable (or the
-``threads`` argument) caps the worker count used to spread check functions
-over a thread pool; 0, 1, or unset means serial.  Every check owns a spawned
-RNG substream and reduces by max, so reports are identical at any level.
 """
 
 import dataclasses
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -760,35 +753,16 @@ _CHECKS = (
 )
 
 
-def _thread_count(threads):
-    if threads is None:
-        raw = os.environ.get("MEMBRANE_EIG_THREADS", "0")
-        try:
-            threads = int(raw)
-        except ValueError as err:
-            raise ValueError(
-                f"MEMBRANE_EIG_THREADS must be an integer, got {raw!r}"
-            ) from err
-    if threads < 0:
-        raise ValueError("thread count must be >= 0")
-    return threads
-
-
-def run_checks(seed=42, trials=1000, threads=None):
+def run_checks(seed=42, trials=1000):
     """Run every documented property check on seeded random inputs.
 
-    Returns a list of CheckReport in fixed registry order.  ``threads``
-    overrides MEMBRANE_EIG_THREADS; 0 or 1 runs serially.  Results are
-    independent of the thread count.
+    Returns a list of CheckReport in fixed registry order.  Each check draws
+    from its own RNG substream spawned from ``seed``.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     children = np.random.SeedSequence(seed).spawn(len(_CHECKS))
-    jobs = [
-        (fn, np.random.default_rng(child)) for fn, child in zip(_CHECKS, children)
+    return [
+        fn(np.random.default_rng(child), trials)
+        for fn, child in zip(_CHECKS, children)
     ]
-    workers = _thread_count(threads)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(lambda job: job[0](job[1], trials), jobs))
-    return [fn(rng, trials) for fn, rng in jobs]

@@ -141,7 +141,6 @@ def _build_parser():
         required=True,
         help="6 comma-separated numbers, row-major 3x2",
     )
-    p_eigs.add_argument("--model", choices=["sheet"], default="sheet")
     p_eigs.add_argument("--mu", type=float, default=1.0)
     p_eigs.add_argument("--invariant", choices=["I1", "I2", "I3"], default=None)
     p_eigs.add_argument("--json", action="store_true")

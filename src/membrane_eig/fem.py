@@ -10,7 +10,9 @@ Total energy is sum_e area_e * psi(F_e) minus an optional constant
 per-vertex force term.  The Newton solver uses analytically projected
 element Hessians (eigenvalues clamped at zero before the 9x9 pullback), a
 sparse factorization with a Tikhonov fallback, and Armijo backtracking that
-treats model DomainErrors from trial states as step rejections.
+treats model DomainErrors from trial states as step rejections.  A step
+that no halving can make decrease the energy ends the solve as converged
+when the Newton decrement is at the roundoff floor of the energy.
 
 Pinned vertices are held at their targets by replacing their rows and
 columns of the system with identity and zeroing their gradient entries.
@@ -105,13 +107,11 @@ class MembraneProblem:
 
 @dataclass(frozen=True)
 class NewtonConfig:
-    """Projected-Newton parameters."""
+    """Projected-Newton parameters: stop when max|g| <= ``tol``, or after
+    ``max_iters`` Newton steps."""
 
     tol: float = 1e-8
     max_iters: int = 100
-    armijo_c: float = 1e-4
-    backtrack: float = 0.5
-    max_halvings: int = 30
 
 
 @dataclass(frozen=True, eq=False)
@@ -332,6 +332,15 @@ def assemble(problem, positions, project=True):
 
 _TIKHONOV_TAUS = (1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2)
 
+# Backtracking line search: Armijo sufficient-decrease constant, step
+# factor per rejection, and rejections allowed per Newton step.
+_ARMIJO_C = 1e-4
+_BACKTRACK = 0.5
+_MAX_HALVINGS = 30
+# Roundoff floor of the Newton decrement -g.d, relative to max(1, |E|):
+# below it no trial energy can be told apart from the current one.
+_DECREMENT_FLOOR = 16.0 * float(np.finfo(float).eps)
+
 
 def _newton_direction(hess, grad):
     rhs = -grad
@@ -365,12 +374,16 @@ def newton_solve(problem, x0, config=None, callback=None):
     Returns
     -------
     (positions, report) : ((N, 3) ndarray, SolveReport)
+        ``report.termination`` is "converged" when max|g| <= tol, or when
+        no step decreases the energy and the Newton decrement -g.d is at
+        the roundoff floor of |E|; otherwise "max_iters".
 
     Raises
     ------
     LineSearchFailed
         If the initial state is inadmissible or backtracking exhausts its
-        halvings without an admissible decreasing step.
+        halvings without an admissible decreasing step above the roundoff
+        floor.
     LinearSolveFailed
         If the Newton system cannot be factorized even with regularization.
     """
@@ -405,19 +418,26 @@ def newton_solve(problem, x0, config=None, callback=None):
         gd = float(grad @ d)
         step = 1.0
         accepted = False
-        for _ in range(cfg.max_halvings + 1):
+        for _ in range(_MAX_HALVINGS + 1):
             trial = x + step * d.reshape(-1, 3)
             try:
                 e_trial = total_energy(problem, trial)
             except DomainError:
                 e_trial = None  # inadmissible trial state: reject
-            if e_trial is not None and e_trial <= energy + cfg.armijo_c * step * gd:
+            if (
+                e_trial is not None
+                and e_trial < energy
+                and e_trial <= energy + _ARMIJO_C * step * gd
+            ):
                 accepted = True
                 break
-            step *= cfg.backtrack
+            step *= _BACKTRACK
         if not accepted:
+            if -gd <= _DECREMENT_FLOOR * max(1.0, abs(energy)):
+                termination = "converged"
+                break
             raise LineSearchFailed(
-                f"no admissible decreasing step after {cfg.max_halvings} "
+                f"no admissible decreasing step after {_MAX_HALVINGS} "
                 f"halvings at iteration {it}"
             )
         x = trial

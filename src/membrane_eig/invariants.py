@@ -60,6 +60,13 @@ _C_E21 = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]])
 _C_N1 = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
 _C_N2 = np.array([[0.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
 
+# Coefficient stacks in slot order.  Slots 2-5 of every eigensystem but
+# I2's are twist, flip, normal-1, normal-2; I1 and I3 share their diag-block
+# modes; I2 takes the canonical basis (E11, E22, E12, E21, E31, E32).
+_C_MODES = np.stack([_C_TWIST, _C_FLIP, _C_N1, _C_N2])
+_C_SLOTS_I13 = np.concatenate([np.stack([_C_SCALE, _C_ANTISCALE]), _C_MODES])
+_C_SLOTS_I2 = np.stack([_C_D1, _C_D2, _C_E12, _C_E21, _C_N1, _C_N2])
+
 
 class DegenerateHessian(ValueError):
     """An invariant Hessian formula divides by a vanishing sigma combination."""
@@ -108,8 +115,20 @@ class EigenSystem6:
         return (q.T * self.values) @ q
 
 
-def _lift(svd, coeffs):
-    return svd.u @ coeffs @ svd.v.T
+def _slot_coeffs(va, vb):
+    """(6, 3, 2) coefficient stack in slot order: the diag-block modes with
+    coordinates va and vb on (E11, E22), then twist, flip and the normals."""
+    block = np.stack(
+        [va[0] * _C_D1 + va[1] * _C_D2, vb[0] * _C_D1 + vb[1] * _C_D2]
+    )
+    return np.concatenate([block, _C_MODES])
+
+
+def _eigensystem6(svd, values, coeffs):
+    """Pair six eigenvalues with the lifts of a (6, 3, 2) coefficient stack."""
+    return EigenSystem6(
+        values=np.array(values, dtype=float), matrices=svd.lift(coeffs)
+    )
 
 
 def invariants(svd):
@@ -146,7 +165,7 @@ def _hvp_i1(svd, w):
             [w[2, 0] / s1, w[2, 1] / s2],
         ]
     )
-    return _lift(svd, coeffs)
+    return svd.lift(coeffs)
 
 
 def _hvp_i3(svd, w):
@@ -159,7 +178,7 @@ def _hvp_i3(svd, w):
             [(s2 / s1) * w[2, 0], (s1 / s2) * w[2, 1]],
         ]
     )
-    return _lift(svd, coeffs)
+    return svd.lift(coeffs)
 
 
 def _require(svd, invariant):
@@ -189,22 +208,6 @@ def invariant_hvp(svd, fdot):
     return h1, h2, h3
 
 
-def _system(svd, block_pairs, lam_twist, lam_flip, lam_n1, lam_n2):
-    (la, ca), (lb, cb) = block_pairs
-    values = np.array([la, lb, lam_twist, lam_flip, lam_n1, lam_n2])
-    matrices = np.stack(
-        [
-            _lift(svd, ca),
-            _lift(svd, cb),
-            _lift(svd, _C_TWIST),
-            _lift(svd, _C_FLIP),
-            _lift(svd, _C_N1),
-            _lift(svd, _C_N2),
-        ]
-    )
-    return EigenSystem6(values=values, matrices=matrices)
-
-
 def invariant_eigensystem(which, svd):
     """Closed-form eigensystem of one invariant's Hessian.
 
@@ -226,36 +229,13 @@ def invariant_eigensystem(which, svd):
     """
     s1, s2 = svd.sigma
     if which == "I2":
-        values = np.full(6, 2.0)
-        matrices = np.stack(
-            [
-                _lift(svd, _C_D1),
-                _lift(svd, _C_D2),
-                _lift(svd, _C_E12),
-                _lift(svd, _C_E21),
-                _lift(svd, _C_N1),
-                _lift(svd, _C_N2),
-            ]
-        )
-        return EigenSystem6(values=values, matrices=matrices)
+        return _eigensystem6(svd, np.full(6, 2.0), _C_SLOTS_I2)
     if which == "I1":
         _require(svd, "I1")
-        return _system(
-            svd,
-            ((0.0, _C_SCALE), (0.0, _C_ANTISCALE)),
-            2.0 / (s1 + s2),
-            0.0,
-            1.0 / s1,
-            1.0 / s2,
-        )
+        values = (0.0, 0.0, 2.0 / (s1 + s2), 0.0, 1.0 / s1, 1.0 / s2)
+        return _eigensystem6(svd, values, _C_SLOTS_I13)
     if which == "I3":
         _require(svd, "I3")
-        return _system(
-            svd,
-            ((1.0, _C_SCALE), (-1.0, _C_ANTISCALE)),
-            1.0,
-            -1.0,
-            s2 / s1,
-            s1 / s2,
-        )
+        values = (1.0, -1.0, 1.0, -1.0, s2 / s1, s1 / s2)
+        return _eigensystem6(svd, values, _C_SLOTS_I13)
     raise ValueError(f"unknown invariant {which!r}; expected 'I1', 'I2' or 'I3'")

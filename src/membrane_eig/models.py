@@ -46,17 +46,12 @@ from .svd import SIGMA_EPS
 from .invariants import (
     DegenerateHessian,
     EigenSystem6,
-    _C_D1,
-    _C_D2,
-    _C_FLIP,
-    _C_N1,
-    _C_N2,
-    _C_TWIST,
+    _eigensystem6,
     _hvp_i1,
     _hvp_i3,
-    _lift,
     _require,
     _rotated,
+    _slot_coeffs,
     invariant_gradients,
     invariants,
 )
@@ -65,8 +60,6 @@ __all__ = [
     "DomainError",
     "ModelDerivs",
     "NeoHookeanSheet",
-    "ProjectedHessian",
-    "evaluate_model",
     "energy_gradient",
     "energy_hvp",
     "energy_eigensystem",
@@ -155,11 +148,6 @@ class NeoHookeanSheet:
         )
 
 
-def evaluate_model(model, inv):
-    """Evaluate a model's energy value and derivatives at given invariants."""
-    return model.derivs(inv)
-
-
 def energy_gradient(model, svd, f):
     """Gradient of psi(F): sum_k f_k * g_k, a 3x2 array."""
     d = model.derivs(invariants(svd))
@@ -237,20 +225,9 @@ def _mode_values(d, s1, s2):
 
 def _assemble_eigensystem(d, svd):
     s1, s2 = svd.sigma
-    lam_twist, lam_flip, lam_n1, lam_n2 = _mode_values(d, s1, s2)
     (la, va), (lb, vb) = _symeig2(_reduced_block(d, s1, s2))
-    values = np.array([la, lb, lam_twist, lam_flip, lam_n1, lam_n2])
-    matrices = np.stack(
-        [
-            _lift(svd, va[0] * _C_D1 + va[1] * _C_D2),
-            _lift(svd, vb[0] * _C_D1 + vb[1] * _C_D2),
-            _lift(svd, _C_TWIST),
-            _lift(svd, _C_FLIP),
-            _lift(svd, _C_N1),
-            _lift(svd, _C_N2),
-        ]
-    )
-    return EigenSystem6(values=values, matrices=matrices)
+    values = (la, lb) + _mode_values(d, s1, s2)
+    return _eigensystem6(svd, values, _slot_coeffs(va, vb))
 
 
 def energy_eigensystem(model, svd):
@@ -305,43 +282,18 @@ def sheet_eigensystem(mu, svd, i3_floor=1e-6):
         return _assemble_eigensystem(d, svd)
     # Same sign canonicalization as the generic 2x2 route: first component
     # positive (gamma - beta > 0 whenever I3 is above the floor).
-    vp = vp / np_
-    vm = vm / nm
-
-    values = np.array([lam_plus, lam_minus, lam_twist, lam_flip, lam_n1, lam_n2])
-    matrices = np.stack(
-        [
-            _lift(svd, vp[0] * _C_D1 + vp[1] * _C_D2),
-            _lift(svd, vm[0] * _C_D1 + vm[1] * _C_D2),
-            _lift(svd, _C_TWIST),
-            _lift(svd, _C_FLIP),
-            _lift(svd, _C_N1),
-            _lift(svd, _C_N2),
-        ]
-    )
-    return EigenSystem6(values=values, matrices=matrices)
-
-
-@dataclass(frozen=True, eq=False)
-class ProjectedHessian:
-    """An eigensystem with eigenvalues clamped to be nonnegative."""
-
-    values: np.ndarray
-    matrices: np.ndarray
-
-    def apply(self, x):
-        """sum_i max(values[i], 0) (q_i : x) q_i; already clamped here."""
-        dots = np.einsum("kij,ij->k", self.matrices, np.asarray(x, float))
-        return np.einsum("k,kij->ij", self.values * dots, self.matrices)
-
-    def dense6(self):
-        """Symmetric PSD 6x6 matrix over row-major flattening of 3x2."""
-        q = self.matrices.reshape(6, 6)
-        return (q.T * self.values) @ q
+    values = (lam_plus, lam_minus, lam_twist, lam_flip, lam_n1, lam_n2)
+    return _eigensystem6(svd, values, _slot_coeffs(vp / np_, vm / nm))
 
 
 def project_psd(eig):
-    """Clamp an eigensystem's eigenvalues at zero (PSD projection)."""
-    return ProjectedHessian(
-        values=np.maximum(eig.values, 0.0), matrices=eig.matrices
-    )
+    """Clamp an eigensystem's eigenvalues at zero (PSD projection).
+
+    Returns an EigenSystem6 with the same eigenmatrices.
+    """
+    return EigenSystem6(values=np.maximum(eig.values, 0.0), matrices=eig.matrices)
+
+
+# Old name of the projected type, kept as an alias because perfbench/tracing.py
+# traces ProjectedHessian.dense6.
+ProjectedHessian = EigenSystem6

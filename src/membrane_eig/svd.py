@@ -98,6 +98,14 @@ class Svd32:
         """Return U * pad(sigma1, sigma2) * V^T as a 3x2 array."""
         return (self.u[:, :2] * self.sigma) @ self.v.T
 
+    def lift(self, coeffs):
+        """Map rotated-frame coefficients to world space: U @ C @ V^T.
+
+        ``coeffs`` is one 3x2 matrix or a (k, 3, 2) stack of them; the
+        result has the same shape.  This inverts C = U^T Fdot V.
+        """
+        return self.u @ coeffs @ self.v.T
+
 
 @dataclass(frozen=True, eq=False)
 class SvdRates:
@@ -124,7 +132,7 @@ class SvdRates:
                 [-s1 * wy, s2 * wx],
             ]
         )
-        return svd.u @ w @ svd.v.T
+        return svd.lift(w)
 
 
 def _as_mat32(f, name="f"):
@@ -247,5 +255,4 @@ def lifted_perturbation(svd, a, b, c, d, e, f):
     Returns U @ [[a, b], [c, d], [e, f]] @ V^T.  The six coefficients are the
     entries of U^T Fdot V, so this inverts that change of frame.
     """
-    coeffs = np.array([[a, b], [c, d], [e, f]], dtype=float)
-    return svd.u @ coeffs @ svd.v.T
+    return svd.lift(np.array([[a, b], [c, d], [e, f]], dtype=float))

@@ -7,7 +7,6 @@ seeded; the reported margins are deterministic.
 
 import json
 import math
-import os
 import subprocess
 import sys
 import time
@@ -146,7 +145,7 @@ def test_criterion_4_sheet_eigensystem():
         sheet = me.sheet_eigensystem(1.0, svd)
 
         def psi(x):
-            return me.evaluate_model(model, me.invariants(me.svd32(x))).psi
+            return model.derivs(me.invariants(me.svd32(x))).psi
 
         oracle = me.jacobi_eigen_sym(me.fd_hessian6(psi, f))
         diff = np.max(np.abs(np.sort(sheet.values) - oracle.values))
@@ -166,7 +165,7 @@ def test_criterion_4_sheet_eigensystem():
                 [2.0 / i3**3, 1.0 + 3.0 * s1**2 / i3**4],
             ]
         )
-        d = me.evaluate_model(model, me.invariants(svd))
+        d = model.derivs(me.invariants(svd))
         ghat = np.array([[1.0, 1.0], [2.0 * s1, 2.0 * s2], [s2, s1]])
         second = np.array(
             [
@@ -303,14 +302,10 @@ def test_criterion_8_analytic_beats_fd_oracle():
 
 
 def test_criterion_9_determinism(tmp_path):
-    env = dict(os.environ)
-    env.pop("MEMBRANE_EIG_THREADS", None)
-
     def run_check():
         return subprocess.run(
             [sys.executable, "-m", "membrane_eig", "check", "--seed", "42"],
             capture_output=True,
-            env=env,
         )
 
     first, second = run_check(), run_check()

@@ -1,4 +1,4 @@
-"""The self-check registry: determinism, threading, and mutation sensitivity."""
+"""The self-check registry: determinism and mutation sensitivity."""
 
 import importlib
 
@@ -36,23 +36,17 @@ def test_run_checks_seed_changes_errors():
     assert any(x.max_error != y.max_error for x, y in zip(a, b))
 
 
+def test_run_checks_seed_102_reports_instead_of_raising():
+    # This seed's frame-objectivity patch solve used to reach the roundoff
+    # floor and raise LineSearchFailed out of run_checks.
+    reports = me.run_checks(seed=102, trials=1)
+    assert len(reports) == len(checks._CHECKS)
+    assert all(r.passed for r in reports)
+
+
 def test_run_checks_rejects_bad_trials():
     with pytest.raises(ValueError):
         me.run_checks(trials=0)
-
-
-def test_run_checks_rejects_bad_threads(monkeypatch):
-    with pytest.raises(ValueError):
-        me.run_checks(trials=5, threads=-1)
-    monkeypatch.setenv("MEMBRANE_EIG_THREADS", "many")
-    with pytest.raises(ValueError):
-        me.run_checks(trials=5)
-
-
-def test_run_checks_threaded_matches_serial():
-    serial = me.run_checks(seed=6, trials=25, threads=1)
-    threaded = me.run_checks(seed=6, trials=25, threads=4)
-    assert [r.to_dict() for r in serial] == [r.to_dict() for r in threaded]
 
 
 def test_report_to_dict_round_trip():

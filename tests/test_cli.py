@@ -1,8 +1,10 @@
 """Command-line interface: output formats, exit codes, determinism."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ import membrane_eig as me
 from membrane_eig.cli import main
 
 DIAG21 = "2,0,0,1,0,0"
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(capsys, *argv):
@@ -155,10 +158,21 @@ def test_module_entry_point():
 
 
 def test_console_script_on_path():
+    # The tests run from a source tree, where the installed `membrane-eig`
+    # script may be absent, so run the entry point that pyproject.toml
+    # declares for it.
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    assert scripts["membrane-eig"] == "membrane_eig.cli:main"
+    module, func = scripts["membrane-eig"].split(":")
+    code = f"import sys; from {module} import {func}; sys.exit({func}())"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     result = subprocess.run(
-        ["membrane-eig", "eigs", "--f", DIAG21, "--json"],
+        [sys.executable, "-c", code, "eigs", "--f", DIAG21, "--json"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert result.returncode == 0
     payload = json.loads(result.stdout)

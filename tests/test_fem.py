@@ -6,6 +6,8 @@ import pytest
 import membrane_eig as me
 from membrane_eig import fem
 
+from conftest import build_stretch_scene
+
 UNIT_TRIANGLE = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
 TRI = [[0, 1, 2]]
 
@@ -185,6 +187,20 @@ def test_newton_stretch_patch_converges():
     assert seen == [row[0] for row in report.history]
     # All accepted states satisfy the pins.
     assert np.max(np.abs(x[list(pins)] - np.array(list(pins.values())))) < 1e-15
+
+
+def test_newton_stretch_20x20_converges_at_roundoff_floor(tmp_path):
+    # Quadratic convergence stalls at |g|inf ~ 1.9e-8 > tol, where no step
+    # can lower the energy; the solve must end there as converged.
+    problem, x0, config, _ = me.load_scene(
+        build_stretch_scene(tmp_path, nx=20, ny=20)
+    )
+    _, report = me.newton_solve(problem, x0, config)
+    assert report.termination == "converged"
+    assert report.iterations <= 6
+    assert report.history[-1][2] < 1e-7
+    energies = [row[1] for row in report.history]
+    assert all(b < a for a, b in zip(energies, energies[1:]))
 
 
 def test_newton_max_iters_termination():

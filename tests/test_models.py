@@ -9,13 +9,13 @@ import pytest
 from membrane_eig import (
     DegenerateHessian,
     DomainError,
+    EigenSystem6,
     Invariants,
     ModelDerivs,
     NeoHookeanSheet,
     energy_eigensystem,
     energy_gradient,
     energy_hvp,
-    evaluate_model,
     fd_gradient,
     invariants,
     jacobi_eigen_sym,
@@ -41,7 +41,7 @@ def test_model_derivs_layout():
 
 def test_sheet_derivs_diag21(diag21):
     _, s = diag21
-    d = evaluate_model(NeoHookeanSheet(1.0), invariants(s))
+    d = NeoHookeanSheet(1.0).derivs(invariants(s))
     assert d.psi == 1.125
     assert d.f1 == 0.0 and d.f2 == 0.5
     assert d.f3 == -0.125 and d.f33 == 0.1875
@@ -227,6 +227,7 @@ def test_project_psd_apply_and_dense(diag21):
     _, s = diag21
     eig = energy_eigensystem(NeoHookeanSheet(1.0), s)
     proj = project_psd(eig)
+    assert isinstance(proj, EigenSystem6)
     x = np.array([[0.3, -0.9], [1.2, 0.4], [-0.5, 0.8]])
     via_dense = (proj.dense6() @ x.reshape(6)).reshape(3, 2)
     assert np.max(np.abs(proj.apply(x) - via_dense)) < 1e-13

@@ -181,3 +181,8 @@ def test_lifted_perturbation_roundtrip():
     out = lifted_perturbation(s, *coeffs)
     back = s.u.T @ out @ s.v
     assert np.max(np.abs(back.reshape(6) - np.array(coeffs))) < 1e-12
+    stack = np.random.default_rng(4).uniform(-2.0, 2.0, size=(6, 3, 2))
+    lifted = s.lift(stack)
+    assert lifted.shape == (6, 3, 2)
+    for c, q in zip(stack, lifted):
+        assert np.array_equal(q, lifted_perturbation(s, *c.reshape(6)))
