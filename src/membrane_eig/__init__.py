@@ -23,11 +23,8 @@ from .fem import (
     LineSearchFailed,
     MembraneProblem,
     NewtonConfig,
-    RestElement,
     SolveReport,
     assemble,
-    build_rest_elements,
-    element_deformation_gradient,
     make_problem,
     newton_solve,
     total_energy,
@@ -89,15 +86,12 @@ __all__ = [
     "NeoHookeanSheet",
     "NewtonConfig",
     "NotSymmetric",
-    "RestElement",
     "SIGMA_EPS",
     "SolveReport",
     "Spectrum6",
     "Svd32",
     "SvdRates",
     "assemble",
-    "build_rest_elements",
-    "element_deformation_gradient",
     "energy_eigensystem",
     "energy_gradient",
     "energy_hvp",

@@ -555,16 +555,9 @@ def _random_patch(rng, gravity=None):
         x[:, 0] *= rng.uniform(0.85, 1.35)
         x[:, 1] *= rng.uniform(0.85, 1.35)
         x += 0.06 * rng.uniform(-1.0, 1.0, size=x.shape)
-        elements = fem_mod.build_rest_elements(rest, tris)
-        ok = True
-        for el in elements:
-            a, b, c = el.indices
-            fm = fem_mod.element_deformation_gradient(el, x[a], x[b], x[c])
-            s1, s2 = svd_mod.svd32(fm).sigma
-            if s2 < 0.25 or not (0.3 < s1 * s2 < 3.0):
-                ok = False
-                break
-        if ok:
+        free = fem_mod.make_problem(rest, tris, model)
+        s1, s2 = svd_mod.svd32(fem_mod.deformation_gradients(free, x)).sigma
+        if np.all((s2 >= 0.25) & (0.3 < s1 * s2) & (s1 * s2 < 3.0)):
             break
     # Three pinned corners kill the rigid orbit so minima are locally unique.
     problem = fem_mod.make_problem(

@@ -16,6 +16,21 @@ when the Newton decrement is at the roundoff floor of the energy.
 
 Pinned vertices are held at their targets by replacing their rows and
 columns of the system with identity and zeroing their gradient entries.
+
+Array layout.  A problem with E triangles keeps its rest data as arrays
+built once by ``make_problem``: ``elements`` (E, 3) vertex indices,
+``dm_inv`` (E, 2, 2), ``area`` (E,), the element weights area * mu_scale
+(E,), the pullback (E, 6, 9) from an element's nine vertex coordinates
+(x0, x1, x2, each xyz) to row-major vec(F), the pinned-dof mask, and the
+Hessian's CSR sparsity pattern with the CSR slot of each of the E * 81
+element entries.  ``total_energy`` and ``assemble`` then run every kernel
+once over all elements: F (E, 3, 2), the invariants (I2 = |F|^2,
+I3 = |f1 x f2|, I1 = sqrt(I2 + 2 I3), so no SVD is needed for the energy),
+one ``model.derivs`` call on (E,) arrays, and in ``assemble`` one stacked
+``svd32``, one stacked eigensystem and its projection.  Element Hessians
+are formed as G^T diag(w lambda) G with G = Q J, where the rows of Q (6x6)
+are the flattened eigenmatrices and J is the pullback, and are summed into
+the CSR pattern with ``np.bincount``.
 """
 
 from dataclasses import dataclass, field
@@ -24,8 +39,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .invariants import DegenerateHessian, invariant_gradients, invariants
-from .models import DomainError, project_psd, _assemble_eigensystem
+from .invariants import Invariants
+from .models import DomainError, _assemble_eigensystem, _stress, project_psd
 from .svd import svd32
 
 __all__ = [
@@ -33,12 +48,10 @@ __all__ = [
     "DegenerateTriangle",
     "LineSearchFailed",
     "LinearSolveFailed",
-    "RestElement",
     "MembraneProblem",
     "NewtonConfig",
     "SolveReport",
-    "build_rest_elements",
-    "element_deformation_gradient",
+    "deformation_gradients",
     "make_problem",
     "assemble",
     "total_energy",
@@ -66,38 +79,109 @@ class LinearSolveFailed(RuntimeError):
 
 
 @dataclass(frozen=True, eq=False)
-class RestElement:
-    """One triangle's rest data: vertex indices, inverse rest edge matrix
-    in the local tangent frame, and rest area."""
+class _HessianPattern:
+    """CSR structure of the assembled Hessian.  ``slots`` gives, for each
+    of the E * 81 element entries in (element, row, column) order, its
+    index in the CSR data, or ``nnz`` for an entry in a pinned row or
+    column; ``diag_slots`` are the pinned dofs' diagonal entries."""
 
-    indices: tuple
-    dm_inv: np.ndarray
-    area: float
+    indptr: np.ndarray
+    indices: np.ndarray
+    slots: np.ndarray
+    diag_slots: np.ndarray
+
+    @property
+    def nnz(self):
+        return len(self.indices)
+
+
+def _hessian_pattern(dofs, pinned):
+    ndof = pinned.size
+    rows = np.repeat(dofs, 9, axis=1).ravel()
+    cols = np.tile(dofs, (1, 9)).ravel()
+    keep = ~(pinned[rows] | pinned[cols])
+    diag = np.flatnonzero(pinned)
+    keys = np.concatenate(
+        [rows[keep].astype(np.int64) * ndof + cols[keep], diag * (ndof + 1)]
+    )
+    del rows, cols
+    uniq, inverse = np.unique(keys, return_inverse=True)
+    del keys
+    kept = np.count_nonzero(keep)
+    slots = np.full(keep.size, len(uniq), dtype=dofs.dtype)
+    slots[keep] = inverse[:kept]
+    indptr = np.zeros(ndof + 1, dtype=dofs.dtype)
+    np.cumsum(np.bincount(uniq // ndof, minlength=ndof), out=indptr[1:])
+    return _HessianPattern(
+        indptr=indptr,
+        indices=(uniq % ndof).astype(dofs.dtype),
+        slots=slots,
+        diag_slots=inverse[kept:],
+    )
 
 
 @dataclass(frozen=True, eq=False)
 class MembraneProblem:
     """A membrane: rest elements, material model, pins, external load.
 
-    ``pin_vertices``/``pin_targets`` give Dirichlet constraints (the whole
-    vertex is held).  ``gravity`` is a constant per-vertex force f adding
-    energy -f . x_v for every vertex.  ``mu_scale``, if given, multiplies
-    element energy densities (a per-element stiffness override).
+    ``elements`` (E, 3) holds each triangle's vertex indices, ``dm_inv``
+    (E, 2, 2) its inverse rest edge matrix in the local tangent frame and
+    ``area`` (E,) its rest area.  ``pin_vertices``/``pin_targets`` give
+    Dirichlet constraints (the whole vertex is held).  ``gravity`` is a
+    constant per-vertex force f adding energy -f . x_v for every vertex.
+    ``mu_scale``, if given, multiplies element energy densities (a
+    per-element stiffness override).
+
+    The remaining fields are derived from those on construction, and again
+    by ``dataclasses.replace``: ``weights`` (E,) = area * mu_scale,
+    ``pullback`` (E, 6, 9) maps an element's nine vertex coordinates to
+    row-major vec(F), and the private fields hold the pinned-dof mask, each
+    element's dof indices and the Hessian's CSR pattern.
     """
 
     n_vertices: int
-    elements: tuple
+    elements: np.ndarray
+    dm_inv: np.ndarray
+    area: np.ndarray
     model: object
     pin_vertices: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
     pin_targets: np.ndarray = field(default_factory=lambda: np.zeros((0, 3)))
     gravity: np.ndarray = field(default_factory=lambda: np.zeros(3))
     mu_scale: np.ndarray = None
+    weights: np.ndarray = field(init=False)
+    pullback: np.ndarray = field(init=False)
+    _pinned: np.ndarray = field(init=False, repr=False)
+    _dofs: np.ndarray = field(init=False, repr=False)
+    _pattern: _HessianPattern = field(init=False, repr=False)
+
+    def __post_init__(self):
+        def put(name, value):
+            object.__setattr__(self, name, value)
+
+        weights = self.area if self.mu_scale is None else self.area * self.mu_scale
+        put("weights", weights)
+        # J[e, 2 i + c, 3 v + k] = delta_ik B[e, v, c], where row v of B
+        # gives vertex v's weights in column c of F.
+        dm = self.dm_inv
+        b = np.stack([-(dm[:, 0, :] + dm[:, 1, :]), dm[:, 0, :], dm[:, 1, :]], axis=1)
+        j = np.zeros((len(dm), 3, 2, 3, 3))
+        for i in range(3):
+            j[:, i, :, :, i] = b.transpose(0, 2, 1)
+        put("pullback", j.reshape(-1, 6, 9))
+        pinned = np.zeros(3 * self.n_vertices, dtype=bool)
+        pinned[(3 * self.pin_vertices[:, None] + np.arange(3)).ravel()] = True
+        put("_pinned", pinned)
+        # 32-bit dof indices where every CSR index fits, as scipy would
+        # choose: they halve the pattern's memory and spare a conversion on
+        # every assembly.
+        size = pinned.size + 81 * len(self.elements)
+        index = np.int32 if size < 2**31 else np.int64
+        dofs = (3 * self.elements[:, :, None] + np.arange(3)).reshape(-1, 9).astype(index)
+        put("_dofs", dofs)
+        put("_pattern", _hessian_pattern(dofs, pinned))
 
     def pinned_dof_mask(self):
-        mask = np.zeros(3 * self.n_vertices, dtype=bool)
-        for v in self.pin_vertices:
-            mask[3 * v : 3 * v + 3] = True
-        return mask
+        return self._pinned.copy()
 
     def apply_pins(self, positions):
         out = np.array(positions, dtype=float)
@@ -139,32 +223,29 @@ class SolveReport:
         }
 
 
-def build_rest_elements(rest_positions, triangles):
-    """Per-triangle rest frames from rest positions.
+def _rest_frames(rest_positions, elements):
+    """Inverse rest edge matrices (E, 2, 2) and rest areas (E,).
 
-    Raises DegenerateTriangle if a rest area is at or below AREA_EPS.
+    Raises DegenerateTriangle, naming the first such triangle, if a rest
+    area is at or below AREA_EPS.
     """
-    rest_positions = np.asarray(rest_positions, dtype=float)
-    triangles = np.asarray(triangles, dtype=int)
-    elements = []
-    for ei, (a, b, c) in enumerate(triangles):
-        e1 = rest_positions[b] - rest_positions[a]
-        e2 = rest_positions[c] - rest_positions[a]
-        n = np.cross(e1, e2)
-        area = 0.5 * float(np.linalg.norm(n))
-        if area <= AREA_EPS:
-            raise DegenerateTriangle(ei, area)
-        t1 = e1 / np.linalg.norm(e1)
-        t2 = np.cross(n / (2.0 * area), t1)
-        dm = np.array([[t1 @ e1, t1 @ e2], [t2 @ e1, t2 @ e2]])
-        det = dm[0, 0] * dm[1, 1] - dm[0, 1] * dm[1, 0]
-        dm_inv = np.array(
-            [[dm[1, 1], -dm[0, 1]], [-dm[1, 0], dm[0, 0]]]
-        ) / det
-        elements.append(
-            RestElement(indices=(int(a), int(b), int(c)), dm_inv=dm_inv, area=area)
-        )
-    return tuple(elements)
+    p = rest_positions[elements]
+    e1 = p[:, 1] - p[:, 0]
+    e2 = p[:, 2] - p[:, 0]
+    n = np.cross(e1, e2)
+    area = 0.5 * np.sqrt(np.einsum("ek,ek->e", n, n))
+    bad = np.flatnonzero(area <= AREA_EPS)
+    if bad.size:
+        raise DegenerateTriangle(int(bad[0]), float(area[bad[0]]))
+    t1 = e1 / np.sqrt(np.einsum("ek,ek->e", e1, e1))[:, None]
+    t2 = np.cross(n / (2.0 * area)[:, None], t1)
+    d00 = np.einsum("ek,ek->e", t1, e1)
+    d01 = np.einsum("ek,ek->e", t1, e2)
+    d10 = np.einsum("ek,ek->e", t2, e1)
+    d11 = np.einsum("ek,ek->e", t2, e2)
+    det = d00 * d11 - d01 * d10
+    dm_inv = np.stack([d11, -d01, -d10, d00], axis=-1).reshape(-1, 2, 2)
+    return dm_inv / det[:, None, None], area
 
 
 def make_problem(
@@ -175,13 +256,15 @@ def make_problem(
     gravity=None,
     mu_scale=None,
 ):
-    """Convenience constructor: build rest elements and validate pins.
+    """Build a problem's rest data and validate its pins.
 
     ``pins`` maps vertex index -> target position (dict or iterable of
-    (vertex, target) pairs).
+    (vertex, target) pairs).  ``mu_scale`` is one nonnegative factor per
+    triangle.
     """
     rest_positions = np.asarray(rest_positions, dtype=float)
-    elements = build_rest_elements(rest_positions, triangles)
+    elements = np.array(triangles, dtype=int).reshape(-1, 3)
+    dm_inv, area = _rest_frames(rest_positions, elements)
     n = len(rest_positions)
     if pins:
         items = pins.items() if isinstance(pins, dict) else list(pins)
@@ -198,11 +281,18 @@ def make_problem(
         pt = np.zeros((0, 3))
     g = np.zeros(3) if gravity is None else np.asarray(gravity, dtype=float)
     ms = None if mu_scale is None else np.asarray(mu_scale, dtype=float)
-    if ms is not None and len(ms) != len(elements):
-        raise ValueError("mu_scale length must match the element count")
+    if ms is not None:
+        if ms.shape != area.shape:
+            raise ValueError("mu_scale length must match the element count")
+        # Projection clamps each element's spectrum before weighting it,
+        # which equals clamping the scaled spectrum only for factors >= 0.
+        if not np.all(np.isfinite(ms) & (ms >= 0.0)):
+            raise ValueError("mu_scale entries must be finite and nonnegative")
     return MembraneProblem(
         n_vertices=n,
         elements=elements,
+        dm_inv=dm_inv,
+        area=area,
         model=model,
         pin_vertices=pv,
         pin_targets=pt,
@@ -211,49 +301,40 @@ def make_problem(
     )
 
 
-def element_deformation_gradient(elem, x0, x1, x2):
-    """Deformation gradient of one linear triangle element (3x2)."""
-    ds = np.column_stack([np.asarray(x1, float) - x0, np.asarray(x2, float) - x0])
-    return ds @ elem.dm_inv
+def deformation_gradients(problem, positions):
+    """Deformation gradients of every element, (E, 3, 2)."""
+    x = np.asarray(positions, dtype=float)
+    t = problem.elements
+    x0 = x[t[:, 0]]
+    e1 = (x[t[:, 1]] - x0)[:, :, None]
+    e2 = (x[t[:, 2]] - x0)[:, :, None]
+    dm = problem.dm_inv
+    return e1 * dm[:, None, 0, :] + e2 * dm[:, None, 1, :]
 
 
-def _element_state(problem, ei, positions):
-    elem = problem.elements[ei]
-    a, b, c = elem.indices
-    f = element_deformation_gradient(elem, positions[a], positions[b], positions[c])
-    svd = svd32(f)
-    try:
-        d = problem.model.derivs(invariants(svd))
-    except DomainError as err:
-        raise DomainError(f"element {ei}: {err}", element=ei) from err
-    if problem.mu_scale is not None:
-        d = d.scaled(float(problem.mu_scale[ei]))
-    return elem, f, svd, d
+def _element_derivs(problem, positions):
+    """F (E, 3, 2) and the model's derivatives at every element's
+    invariants.  ``total_energy`` and ``assemble`` both take their energy
+    from here, so the line search compares bitwise-consistent values."""
+    f = deformation_gradients(problem, positions)
+    i2 = np.einsum("eij,eij->e", f, f)
+    n = np.cross(f[:, :, 0], f[:, :, 1])
+    i3 = np.sqrt(np.einsum("ek,ek->e", n, n))
+    return f, problem.model.derivs(Invariants(i1=np.sqrt(i2 + 2.0 * i3), i2=i2, i3=i3))
 
 
-def _dof_jacobian(elem):
-    # Rows: row-major vec(F); columns: element dofs (x0, x1, x2) * (x, y, z).
-    dm = elem.dm_inv
-    j = np.zeros((6, 9))
-    for i in range(3):
-        for col in range(2):
-            r = 2 * i + col
-            j[r, 3 + i] = dm[0, col]
-            j[r, 6 + i] = dm[1, col]
-            j[r, i] = -(dm[0, col] + dm[1, col])
-    return j
+def _energy(problem, positions, psi):
+    energy = float(problem.weights @ psi)
+    if problem.gravity.any():
+        energy -= float(positions.sum(axis=0) @ problem.gravity)
+    return energy
 
 
 def total_energy(problem, positions):
     """Total energy at given positions (no gradient or Hessian)."""
     positions = np.asarray(positions, dtype=float)
-    energy = 0.0
-    for ei in range(len(problem.elements)):
-        elem, _, _, d = _element_state(problem, ei, positions)
-        energy += elem.area * d.psi
-    if problem.gravity.any():
-        energy -= float(positions.sum(axis=0) @ problem.gravity)
-    return energy
+    _, d = _element_derivs(problem, positions)
+    return _energy(problem, positions, d.psi)
 
 
 def assemble(problem, positions, project=True):
@@ -275,58 +356,32 @@ def assemble(problem, positions, project=True):
     if not np.all(np.isfinite(positions)):
         raise ValueError("positions have non-finite entries")
 
-    energy = 0.0
-    grad = np.zeros(3 * n)
-    rows, cols, vals = [], [], []
-    for ei in range(len(problem.elements)):
-        elem, f, svd, d = _element_state(problem, ei, positions)
-        energy += elem.area * d.psi
+    f, d = _element_derivs(problem, positions)
+    energy = _energy(problem, positions, d.psi)
+    svd = svd32(f)
+    w = problem.weights
+    jac = problem.pullback
+    p = _stress(d, svd, f).reshape(-1, 1, 6)
+    ge = w[:, None] * (p @ jac)[:, 0, :]
 
-        g1, g2, g3 = invariant_gradients(svd, f)
-        p = d.f1 * g1 + d.f2 * g2 + d.f3 * g3
-        j = _dof_jacobian(elem)
-        ge = elem.area * (j.T @ p.reshape(6))
+    eig = _assemble_eigensystem(d, svd)
+    if project:
+        eig = project_psd(eig)
+    g = eig.matrices.reshape(-1, 6, 6) @ jac
+    he = np.swapaxes(g, 1, 2) @ ((w[:, None] * eig.values)[:, :, None] * g)
 
-        try:
-            eig = _assemble_eigensystem(d, svd)
-        except DegenerateHessian as err:
-            raise DegenerateHessian(f"element {ei}: {err}", svd.sigma) from err
-        if project:
-            h6 = project_psd(eig).dense6()
-        else:
-            h6 = eig.dense6()
-        he = elem.area * (j.T @ h6 @ j)
-
-        dofs = np.array(
-            [3 * v + k for v in elem.indices for k in range(3)], dtype=int
-        )
-        grad[dofs] += ge
-        rr, cc = np.meshgrid(dofs, dofs, indexing="ij")
-        rows.append(rr.ravel())
-        cols.append(cc.ravel())
-        vals.append(he.ravel())
-
+    grad = np.bincount(problem._dofs.ravel(), weights=ge.ravel(), minlength=3 * n)
     if problem.gravity.any():
-        energy -= float(positions.sum(axis=0) @ problem.gravity)
         grad -= np.tile(problem.gravity, n)
+    grad[problem._pinned] = 0.0
 
-    mask = problem.pinned_dof_mask()
-    grad[mask] = 0.0
-    if rows:
-        rows = np.concatenate(rows)
-        cols = np.concatenate(cols)
-        vals = np.concatenate(vals)
-        keep = ~(mask[rows] | mask[cols])
-        rows, cols, vals = rows[keep], cols[keep], vals[keep]
-    else:
-        rows = np.zeros(0, dtype=int)
-        cols = np.zeros(0, dtype=int)
-        vals = np.zeros(0)
-    pinned = np.nonzero(mask)[0]
-    rows = np.concatenate([rows, pinned])
-    cols = np.concatenate([cols, pinned])
-    vals = np.concatenate([vals, np.ones(len(pinned))])
-    hess = sp.coo_matrix((vals, (rows, cols)), shape=(3 * n, 3 * n)).tocsr()
+    pattern = problem._pattern
+    data = np.bincount(pattern.slots, weights=he.ravel(), minlength=pattern.nnz + 1)
+    data = data[: pattern.nnz]
+    data[pattern.diag_slots] = 1.0
+    hess = sp.csr_matrix(
+        (data, pattern.indices.copy(), pattern.indptr.copy()), shape=(3 * n, 3 * n)
+    )
     return energy, grad, hess
 
 

@@ -94,7 +94,9 @@ class EigenSystem6:
 
     ``values`` is shape (6,), ``matrices`` is shape (6, 3, 2) with
     unit-Frobenius-norm, pairwise-orthogonal eigenmatrices, ordered by the
-    package-wide slot convention (see module docstring).
+    package-wide slot convention (see module docstring).  An eigensystem
+    of a stack of decompositions carries the stack's leading axes:
+    (..., 6) and (..., 6, 3, 2).
     """
 
     values: np.ndarray
@@ -106,29 +108,50 @@ class EigenSystem6:
 
     def apply(self, x):
         """Apply the represented operator: sum_i values[i] (q_i : x) q_i."""
-        dots = np.einsum("kij,ij->k", self.matrices, np.asarray(x, float))
-        return np.einsum("k,kij->ij", self.values * dots, self.matrices)
+        dots = np.einsum("...kij,...ij->...k", self.matrices, np.asarray(x, float))
+        return np.einsum("...k,...kij->...ij", self.values * dots, self.matrices)
 
     def dense6(self):
         """Materialize as a symmetric 6x6 matrix over row-major flattening."""
-        q = self.matrices.reshape(6, 6)
-        return (q.T * self.values) @ q
+        q = self.matrices.reshape(self.matrices.shape[:-3] + (6, 6))
+        return (np.swapaxes(q, -1, -2) * self.values[..., None, :]) @ q
+
+
+def _batch_shape(parts):
+    """The common shape of parts that are scalars or arrays of one shape."""
+    return max((getattr(p, "shape", ()) for p in parts), key=len)
+
+
+def _pack(parts):
+    """Stack n parts along a new last axis, giving (..., n).  Each part is a
+    scalar or an array of one common shape."""
+    shape = _batch_shape(parts)
+    if not shape:
+        return np.array(parts, dtype=float)
+    out = np.empty(shape + (len(parts),))
+    for k, p in enumerate(parts):
+        out[..., k] = p
+    return out
 
 
 def _slot_coeffs(va, vb):
-    """(6, 3, 2) coefficient stack in slot order: the diag-block modes with
-    coordinates va and vb on (E11, E22), then twist, flip and the normals."""
-    block = np.stack(
-        [va[0] * _C_D1 + va[1] * _C_D2, vb[0] * _C_D1 + vb[1] * _C_D2]
-    )
-    return np.concatenate([block, _C_MODES])
+    """(..., 6, 3, 2) coefficient stack in slot order: the diag-block modes
+    with coordinates va = (va0, va1) and vb on (E11, E22), then twist, flip
+    and the normals."""
+    out = np.zeros(_batch_shape(va + vb) + (6, 3, 2))
+    out[..., 0, 0, 0], out[..., 0, 1, 1] = va
+    out[..., 1, 0, 0], out[..., 1, 1, 1] = vb
+    out[..., 2:, :, :] = _C_MODES
+    return out
 
 
 def _eigensystem6(svd, values, coeffs):
-    """Pair six eigenvalues with the lifts of a (6, 3, 2) coefficient stack."""
-    return EigenSystem6(
-        values=np.array(values, dtype=float), matrices=svd.lift(coeffs)
-    )
+    """Pair six eigenvalues with the lifts of a (..., 6, 3, 2) coefficient
+    stack; a (6, 3, 2) stack is shared by every decomposition of a stack."""
+    missing = svd.u.ndim + 1 - coeffs.ndim
+    if missing:
+        coeffs = coeffs.reshape((1,) * missing + coeffs.shape)
+    return EigenSystem6(values=_pack(values), matrices=svd.lift(coeffs))
 
 
 def invariants(svd):
@@ -138,15 +161,18 @@ def invariants(svd):
 
 
 def invariant_gradients(svd, f):
-    """Gradients of (I1, I2, I3) with respect to F, each a 3x2 array.
+    """Gradients of (I1, I2, I3) with respect to F, each a 3x2 array (or a
+    stack of them, for a stack of decompositions).
 
     g1 = U pad(1, 1) V^T, g2 = 2 F, g3 = U pad(sigma2, sigma1) V^T.
     Defined for every decomposition, degenerate or not.
     """
     s1, s2 = svd.sigma
-    g1 = svd.u[:, :2] @ svd.v.T
+    u2 = svd.u[..., :, :2]
+    vt = np.swapaxes(svd.v, -1, -2)
+    g1 = u2 @ vt
     g2 = 2.0 * np.asarray(f, dtype=float)
-    g3 = (svd.u[:, :2] * (s2, s1)) @ svd.v.T
+    g3 = (u2 * _pack((s2, s1))[..., None, :]) @ vt
     return g1, g2, g3
 
 
@@ -183,7 +209,8 @@ def _hvp_i3(svd, w):
 
 def _require(svd, invariant):
     s1, s2 = svd.sigma
-    if s1 <= SIGMA_EPS or s2 <= SIGMA_EPS or s1 + s2 <= SIGMA_EPS:
+    # count_nonzero reads a Python bool and a boolean array alike.
+    if np.count_nonzero((s1 <= SIGMA_EPS) | (s2 <= SIGMA_EPS) | (s1 + s2 <= SIGMA_EPS)):
         raise DegenerateHessian(invariant, svd.sigma)
 
 
@@ -228,14 +255,18 @@ def invariant_eigensystem(which, svd):
     I3 require nondegenerate singular values.
     """
     s1, s2 = svd.sigma
+    # Constant values are given the shape of s1 (a float, or an array over
+    # a stack) by adding 0.0 * s1.
     if which == "I2":
-        return _eigensystem6(svd, np.full(6, 2.0), _C_SLOTS_I2)
+        return _eigensystem6(svd, (2.0 + 0.0 * s1,) * 6, _C_SLOTS_I2)
     if which == "I1":
         _require(svd, "I1")
-        values = (0.0, 0.0, 2.0 / (s1 + s2), 0.0, 1.0 / s1, 1.0 / s2)
+        zero = 0.0 * s1
+        values = (zero, zero, 2.0 / (s1 + s2), zero, 1.0 / s1, 1.0 / s2)
         return _eigensystem6(svd, values, _C_SLOTS_I13)
     if which == "I3":
         _require(svd, "I3")
-        values = (1.0, -1.0, 1.0, -1.0, s2 / s1, s1 / s2)
+        one = 1.0 + 0.0 * s1
+        values = (one, -one, one, -one, s2 / s1, s1 / s2)
         return _eigensystem6(svd, values, _C_SLOTS_I13)
     raise ValueError(f"unknown invariant {which!r}; expected 'I1', 'I2' or 'I3'")

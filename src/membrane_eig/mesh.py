@@ -56,12 +56,13 @@ def load_obj(path):
 def save_obj(path, positions, triangles):
     """Write a triangle mesh as OBJ.  Floats use repr for exact round-trips."""
     positions = np.asarray(positions, dtype=float)
-    triangles = np.asarray(triangles, dtype=int)
+    triangles = np.asarray(triangles, dtype=int) + 1
+    # tolist() hands over Python floats and ints, whose repr and str are
+    # the exact text; the file is written in one call.
+    lines = [f"v {x!r} {y!r} {z!r}\n" for x, y, z in positions.tolist()]
+    lines += [f"f {a} {b} {c}\n" for a, b, c in triangles.tolist()]
     with open(path, "w", encoding="utf-8") as fh:
-        for p in positions:
-            fh.write(f"v {float(p[0])!r} {float(p[1])!r} {float(p[2])!r}\n")
-        for t in triangles:
-            fh.write(f"f {int(t[0]) + 1} {int(t[1]) + 1} {int(t[2]) + 1}\n")
+        fh.write("".join(lines))
 
 
 def grid_mesh(nx, ny, width=1.0, height=1.0):

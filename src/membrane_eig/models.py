@@ -4,7 +4,11 @@ derivatives, and closed-form Hessian eigensystems.
 A model is any object with a ``derivs(inv)`` method mapping an
 :class:`~membrane_eig.invariants.Invariants` to a :class:`ModelDerivs`
 (energy value plus first and second partials with respect to I1, I2, I3).
-The generic assembler ``energy_eigensystem`` turns those scalars into the
+The invariants may be (E,) arrays over a stack of elements; ``derivs`` then
+answers with arrays and raises DomainError naming the first element outside
+the domain.  The eigensystem functions, ``project_psd`` and
+``energy_gradient`` take one decomposition or a stack of them through the
+same code; ``energy_hvp`` takes one.  The generic assembler ``energy_eigensystem`` turns those scalars into the
 full six-pair Hessian eigensystem of psi(F):
 
 * twist, flip and the two normal modes are always eigenmatrices, with
@@ -37,18 +41,16 @@ gamma = sqrt(16 I3^2 + beta^2), beta = 3 (s2^2 - s1^2), and eigenvectors
 smaller.
 """
 
-import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .svd import SIGMA_EPS
 from .invariants import (
-    DegenerateHessian,
     EigenSystem6,
     _eigensystem6,
     _hvp_i1,
     _hvp_i3,
+    _pack,
     _require,
     _rotated,
     _slot_coeffs,
@@ -69,11 +71,29 @@ __all__ = [
 
 
 class DomainError(ValueError):
-    """The invariants lie outside a model's admissible domain."""
+    """The invariants lie outside a model's admissible domain.
+
+    ``element`` is the flat index of the first offending entry when the
+    invariants are arrays over a stack of elements, else None.
+    """
 
     def __init__(self, message, element=None):
         self.element = element
         super().__init__(message)
+
+
+def _check_floor(i3, i3_floor):
+    """Raise DomainError if I3 (a float or an array) is below the floor."""
+    bad = i3 < i3_floor
+    if not np.count_nonzero(bad):
+        return
+    if np.ndim(bad):
+        k = int(np.flatnonzero(bad)[0])
+        raise DomainError(
+            f"element {k}: I3 = {np.ravel(i3)[k]} below the sheet floor {i3_floor}",
+            element=k,
+        )
+    raise DomainError(f"I3 = {i3} below the sheet floor {i3_floor}")
 
 
 @dataclass(frozen=True)
@@ -81,6 +101,7 @@ class ModelDerivs:
     """Energy value and partial derivatives with respect to (I1, I2, I3).
 
     ``fk`` is d psi / d Ik and ``fkl`` is the symmetric second partial.
+    Each field is a float, or an array over a stack of elements.
     """
 
     psi: float
@@ -95,30 +116,15 @@ class ModelDerivs:
     f33: float = 0.0
 
     def second_partials(self):
-        """The symmetric 3x3 matrix of second partials."""
-        return np.array(
-            [
-                [self.f11, self.f12, self.f13],
-                [self.f12, self.f22, self.f23],
-                [self.f13, self.f23, self.f33],
-            ]
+        """The symmetric 3x3 matrix of second partials, (..., 3, 3)."""
+        p = _pack(
+            (
+                self.f11, self.f12, self.f13,
+                self.f12, self.f22, self.f23,
+                self.f13, self.f23, self.f33,
+            )
         )
-
-    def scaled(self, factor):
-        """Derivatives of factor * psi (all fields scale linearly)."""
-        return replace(
-            self,
-            psi=factor * self.psi,
-            f1=factor * self.f1,
-            f2=factor * self.f2,
-            f3=factor * self.f3,
-            f11=factor * self.f11,
-            f12=factor * self.f12,
-            f13=factor * self.f13,
-            f22=factor * self.f22,
-            f23=factor * self.f23,
-            f33=factor * self.f33,
-        )
+        return p.reshape(p.shape[:-1] + (3, 3))
 
 
 @dataclass(frozen=True)
@@ -133,10 +139,7 @@ class NeoHookeanSheet:
     i3_floor: float = 1e-6
 
     def derivs(self, inv):
-        if inv.i3 < self.i3_floor:
-            raise DomainError(
-                f"I3 = {inv.i3} below the sheet floor {self.i3_floor}"
-            )
+        _check_floor(inv.i3, self.i3_floor)
         mu = self.mu
         r = 1.0 / inv.i3
         r2 = r * r
@@ -148,11 +151,20 @@ class NeoHookeanSheet:
         )
 
 
+def _per_matrix(x):
+    # A coefficient per element of a stack, shaped to scale its 3x2 matrix.
+    return x[..., None, None] if getattr(x, "ndim", 0) else x
+
+
+def _stress(d, svd, f):
+    """d psi / dF = sum_k f_k g_k for one F (3x2) or a stack (..., 3, 2)."""
+    g1, g2, g3 = invariant_gradients(svd, f)
+    return _per_matrix(d.f1) * g1 + _per_matrix(d.f2) * g2 + _per_matrix(d.f3) * g3
+
+
 def energy_gradient(model, svd, f):
     """Gradient of psi(F): sum_k f_k * g_k, a 3x2 array."""
-    d = model.derivs(invariants(svd))
-    g1, g2, g3 = invariant_gradients(svd, f)
-    return d.f1 * g1 + d.f2 * g2 + d.f3 * g3
+    return _stress(model.derivs(invariants(svd)), svd, f)
 
 
 def energy_hvp(model, svd, fdot):
@@ -184,34 +196,38 @@ def energy_hvp(model, svd, fdot):
 
 
 def _symeig2(a):
-    """Eigenpairs of a symmetric 2x2, rotation-ordered and deterministic.
+    """Eigenpairs of a symmetric 2x2 (or of a stack, (..., 2, 2)),
+    rotation-ordered and deterministic.
 
     Returns ((la, va), (lb, vb)) with va = (cos t, sin t), vb = (-sin t,
     cos t) for t = 0.5 * atan2(2 a01, a00 - a11), each flipped so its first
     nonzero component is positive.  An exactly repeated root gives t = 0 and
-    the canonical axis basis.
+    the canonical axis basis.  Vectors are returned as pairs of components.
     """
-    a00, a11 = float(a[0, 0]), float(a[1, 1])
-    a01 = 0.5 * (float(a[0, 1]) + float(a[1, 0]))
-    t = 0.5 * math.atan2(2.0 * a01, a00 - a11)
-    c, s = math.cos(t), math.sin(t)
-    la = c * c * a00 + 2.0 * c * s * a01 + s * s * a11
-    lb = s * s * a00 - 2.0 * c * s * a01 + c * c * a11
-    va = np.array([c, s])
-    vb = np.array([-s, c])
-    if va[0] < 0.0 or (va[0] == 0.0 and va[1] < 0.0):
-        va = -va
-    if vb[0] < 0.0 or (vb[0] == 0.0 and vb[1] < 0.0):
-        vb = -vb
-    return (la, va), (lb, vb)
+    a00, a11 = a[..., 0, 0], a[..., 1, 1]
+    a01 = 0.5 * (a[..., 0, 1] + a[..., 1, 0])
+    t = 0.5 * np.arctan2(2.0 * a01, a00 - a11)
+    c, s = np.cos(t), np.sin(t)
+    cs = 2.0 * c * s * a01
+    la = c * c * a00 + cs + s * s * a11
+    lb = s * s * a00 - cs + c * c * a11
+    # |t| <= pi/2 and cos(pi/2) rounds to 6e-17, so c > 0 and va needs no
+    # flip; vb's first component -s is negative exactly when s > 0.
+    sign = 1.0 - 2.0 * (s > 0.0)
+    return (la, (c, s)), (lb, (-sign * s, sign * c))
 
 
 def _reduced_block(d, s1, s2):
-    a = 2.0 * d.f2 * np.eye(2) + d.f3 * np.array([[0.0, 1.0], [1.0, 0.0]])
+    """The symmetric 2x2 block on the in-plane diagonal subspace, (..., 2, 2)
+    for arrays of singular values."""
+    shape = getattr(s1, "shape", ())
+    a = np.empty(shape + (2, 2))
+    a[..., 0, 0] = a[..., 1, 1] = 2.0 * d.f2
+    a[..., 0, 1] = a[..., 1, 0] = d.f3
     sp = d.second_partials()
-    if sp.any():
-        ghat = np.array([[1.0, 1.0], [2.0 * s1, 2.0 * s2], [s2, s1]])
-        a += ghat.T @ sp @ ghat
+    if np.count_nonzero(sp):
+        ghat = _pack((1.0, 1.0, 2.0 * s1, 2.0 * s2, s2, s1)).reshape(shape + (3, 2))
+        a += np.swapaxes(ghat, -1, -2) @ sp @ ghat
     return a
 
 
@@ -224,6 +240,8 @@ def _mode_values(d, s1, s2):
 
 
 def _assemble_eigensystem(d, svd):
+    """Six-pair eigensystem from model derivatives at a decomposition (or
+    at a stack of them, with ``d``'s fields as arrays over the stack)."""
     s1, s2 = svd.sigma
     (la, va), (lb, vb) = _symeig2(_reduced_block(d, s1, s2))
     values = (la, lb) + _mode_values(d, s1, s2)
@@ -236,11 +254,8 @@ def energy_eigensystem(model, svd):
     Requires nondegenerate singular values (sigma2 > SIGMA_EPS) and
     invariants inside the model's domain.
     """
-    s1, s2 = svd.sigma
-    if s1 <= SIGMA_EPS or s2 <= SIGMA_EPS or s1 + s2 <= SIGMA_EPS:
-        raise DegenerateHessian("energy", svd.sigma)
-    d = model.derivs(invariants(svd))
-    return _assemble_eigensystem(d, svd)
+    _require(svd, "energy")
+    return _assemble_eigensystem(model.derivs(invariants(svd)), svd)
 
 
 def sheet_eigensystem(mu, svd, i3_floor=1e-6):
@@ -252,11 +267,11 @@ def sheet_eigensystem(mu, svd, i3_floor=1e-6):
     mu + mu (3 I2 +- gamma) / (2 I3^4); the (beta + gamma, 4 I3) direction
     carries the larger one.  beta + gamma is evaluated as
     16 I3^2 / (gamma - beta) to dodge cancellation when I3 is small.
+    ``svd`` may be a stack of decompositions.
     """
     s1, s2 = svd.sigma
     i3 = s1 * s2
-    if i3 < i3_floor:
-        raise DomainError(f"I3 = {i3} below the sheet floor {i3_floor}")
+    _check_floor(i3, i3_floor)
     i2 = s1 * s1 + s2 * s2
     r3 = mu / (i3 * i3 * i3)
 
@@ -266,24 +281,26 @@ def sheet_eigensystem(mu, svd, i3_floor=1e-6):
     lam_n2 = mu - r3 * s1 / s2
 
     beta = 3.0 * (s2 * s2 - s1 * s1)
-    gamma = math.hypot(4.0 * i3, beta)
+    gamma = np.hypot(4.0 * i3, beta)
     half = mu / (2.0 * i3 ** 4)
     lam_plus = mu + half * (3.0 * i2 + gamma)
     lam_minus = mu + half * (3.0 * i2 - gamma)
 
     # beta <= 0 always (s1 >= s2), so gamma - beta is additive, and the
     # stable quotient below equals beta + gamma.
-    vp = np.array([16.0 * i3 * i3 / (gamma - beta), 4.0 * i3])
-    vm = np.array([gamma - beta, -4.0 * i3])  # -(beta - gamma, 4 I3)
-    np_, nm = np.linalg.norm(vp), np.linalg.norm(vm)
-    if np_ < 1e-12 or nm < 1e-12:
+    vp = (16.0 * i3 * i3 / (gamma - beta), 4.0 * i3)
+    vm = (gamma - beta, -4.0 * i3)  # -(beta - gamma, 4 I3)
+    np_ = np.sqrt(vp[0] * vp[0] + vp[1] * vp[1])
+    nm = np.sqrt(vm[0] * vm[0] + vm[1] * vm[1])
+    if np.count_nonzero((np_ < 1e-12) | (nm < 1e-12)):
         # Guarded fallback; unreachable for I3 >= i3_floor.
         d = NeoHookeanSheet(mu, i3_floor).derivs(invariants(svd))
         return _assemble_eigensystem(d, svd)
     # Same sign canonicalization as the generic 2x2 route: first component
     # positive (gamma - beta > 0 whenever I3 is above the floor).
     values = (lam_plus, lam_minus, lam_twist, lam_flip, lam_n1, lam_n2)
-    return _eigensystem6(svd, values, _slot_coeffs(vp / np_, vm / nm))
+    coeffs = _slot_coeffs((vp[0] / np_, vp[1] / np_), (vm[0] / nm, vm[1] / nm))
+    return _eigensystem6(svd, values, coeffs)
 
 
 def project_psd(eig):

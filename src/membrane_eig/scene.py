@@ -79,13 +79,14 @@ def load_scene(path):
 def solve_and_export(problem, x0, config, output_dir, triangles=None):
     """Run the Newton solve and write frames, report.json, convergence.csv.
 
-    ``triangles`` is needed for the OBJ frames; if omitted, element indices
-    are used (correct for meshes built by make_problem from a triangle list).
+    ``triangles`` is needed for the OBJ frames; if omitted, the problem's
+    (E, 3) element index array is used (correct for meshes built by
+    make_problem from a triangle list).
     """
     output_dir = Path(output_dir)
     output_dir.mkdir(parents=True, exist_ok=True)
     if triangles is None:
-        triangles = [el.indices for el in problem.elements]
+        triangles = problem.elements
 
     def write_frame(iteration, positions):
         save_obj(output_dir / f"frame_{iteration:04d}.obj", positions, triangles)

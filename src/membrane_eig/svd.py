@@ -18,6 +18,15 @@ eigendecomposition of F^T F (a single atan2 rotation), with sigma_i taken as
 ||F v_i|| and deficient U columns completed by Gram-Schmidt.  Ties at
 sigma1 = sigma2 fall out of the atan2 branch at angle 0, so V = Id there.
 
+``svd32`` takes one 3x2 matrix or a stack (..., 3, 2), and a single matrix
+runs as a stack of one: there is one code path.  The stack is held
+component-major, so each step is one elementwise array operation over all
+matrices (one arctan2 per matrix, dot and cross products written out as
+products, norms as nested hypot so tiny entries do not underflow), and the
+column swap and the two degenerate cases (F v1 = 0, and a u2 that needs
+completing) are masked fallbacks that run only where they apply.  Every
+matrix of a stack therefore gets exactly the arithmetic it would get alone.
+
 ``svd_rates`` differentiates the decomposition.  For a velocity Fdot, the
 matrix W = U^T Fdot V decomposes as
 
@@ -36,7 +45,6 @@ off-diagonal 2x2 part is a linear system for (wz, al):
 singular exactly when sigma1 = sigma2 or sigma1 + sigma2 = 0.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,6 +83,10 @@ class DegenerateRates(ValueError):
 class Svd32:
     """Thin SVD of a 3x2 matrix under this module's conventions.
 
+    For a stack of matrices every attribute gains the stack's leading
+    axes: ``u`` is (..., 3, 3), ``v`` is (..., 2, 2) and ``sigma`` holds
+    two (...) arrays.
+
     Attributes
     ----------
     u : (3, 3) ndarray
@@ -92,19 +104,24 @@ class Svd32:
     @property
     def normal(self):
         """Deformed surface normal: the third column of U (= u1 x u2)."""
-        return self.u[:, 2]
+        return self.u[..., :, 2]
 
     def reconstruct(self):
-        """Return U * pad(sigma1, sigma2) * V^T as a 3x2 array."""
-        return (self.u[:, :2] * self.sigma) @ self.v.T
+        """Return U * pad(sigma1, sigma2) * V^T as a 3x2 array (or stack)."""
+        pad = np.stack(self.sigma, axis=-1)[..., None, :]
+        return (self.u[..., :, :2] * pad) @ np.swapaxes(self.v, -1, -2)
 
     def lift(self, coeffs):
         """Map rotated-frame coefficients to world space: U @ C @ V^T.
 
-        ``coeffs`` is one 3x2 matrix or a (k, 3, 2) stack of them; the
-        result has the same shape.  This inverts C = U^T Fdot V.
+        ``coeffs`` is one 3x2 matrix or a (k, 3, 2) stack of them per
+        decomposition; the result has the same shape.  This inverts
+        C = U^T Fdot V.
         """
-        return self.u @ coeffs @ self.v.T
+        u, vt = self.u, np.swapaxes(self.v, -1, -2)
+        if np.ndim(coeffs) > u.ndim:
+            u, vt = u[..., None, :, :], vt[..., None, :, :]
+        return u @ coeffs @ vt
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,63 +161,105 @@ def _as_mat32(f, name="f"):
     return f
 
 
-def _orthogonal_completion(u1):
-    # Start from the coordinate axis least aligned with u1, then project.
-    k = int(np.argmin(np.abs(u1)))
-    e = np.zeros(3)
-    e[k] = 1.0
-    w = e - (u1 @ e) * u1
-    return w / np.linalg.norm(w)
+def _sum3(x):
+    # Sum over the leading axis of length 3, written out so that every
+    # matrix of a stack sees the same additions in the same order.
+    return x[0] + x[1] + x[2]
+
+
+def _norm3(x):
+    # Euclidean norm over the leading axis of length 3.  hypot neither
+    # underflows nor overflows where a sum of squares would: the square of
+    # an entry below 1e-154 is subnormal and has lost digits.
+    return np.hypot(np.hypot(x[0], x[1]), x[2])
 
 
 def svd32(f):
-    """Thin SVD of a 3x2 matrix with the module's sign and order conventions.
+    """Thin SVD of a 3x2 matrix, or of a stack of them, with the module's
+    sign and order conventions.
 
     Parameters
     ----------
-    f : (3, 2) array_like
+    f : (3, 2) or (..., 3, 2) array_like
         Finite entries.
 
     Returns
     -------
     Svd32
         With sigma1 >= sigma2 >= 0, det(U) = det(V) = +1, and
-        U[:, 2] = u1 x u2.
+        U[..., :, 2] = u1 x u2.  For one matrix ``sigma`` holds two floats;
+        for a stack, ``u`` is (..., 3, 3), ``v`` is (..., 2, 2) and
+        ``sigma`` holds two (...) arrays.  Each matrix of a stack gets the
+        same elementwise arithmetic as it would alone, so a stack's result
+        equals its members' results bitwise.
     """
-    f = _as_mat32(f)
-    s = f.T @ f
+    f = np.asarray(f, dtype=float)
+    if f.shape[-2:] != (3, 2):
+        raise ValueError(f"f must be 3x2 or a stack of 3x2, got shape {f.shape}")
+    # count_nonzero rather than .all(): this runs once per F in the checks.
+    if np.count_nonzero(np.isfinite(f)) != f.size:
+        raise ValueError("f has non-finite entries")
+    batch = f.shape[:-2]
+    # Component-major layout: ft[k, i] is the (E,) array of F[k, i].
+    ft = f.reshape(-1, 3, 2).transpose(1, 2, 0)
     # Closed-form eigenvectors of the symmetric 2x2 F^T F: one rotation.
-    theta = 0.5 * math.atan2(s[0, 1] + s[1, 0], s[0, 0] - s[1, 1])
-    c, sn = math.cos(theta), math.sin(theta)
-    va = np.array([c, sn])
-    vb = np.array([-sn, c])
-    wa = f @ va
-    wb = f @ vb
+    gram = _sum3(ft[:, :, None] * ft[:, None, :])
+    theta = 0.5 * np.arctan2(2.0 * gram[0, 1], gram[0, 0] - gram[1, 1])
+    c, sn = np.cos(theta), np.sin(theta)
+    v = np.concatenate((c, -sn, sn, c)).reshape(2, 2, -1)
+    w = ft[:, 0, None] * v[0] + ft[:, 1, None] * v[1]
     # ||F v_i|| is accurate for tiny singular values where sqrt of the
     # F^T F eigenvalue would be dominated by cancellation noise.
-    sa = float(np.linalg.norm(wa))
-    sb = float(np.linalg.norm(wb))
-    if sa < sb:
+    sa, sb = _norm3(w)
+    swap = sa < sb
+    if np.count_nonzero(swap):
         # Swap columns; negating the new second column keeps det(V) = +1.
-        va, vb = vb, -va
-        wa, wb = wb, -wa
-        sa, sb = sb, sa
-    v = np.column_stack([va, vb])
+        v = np.where(swap, np.stack([v[:, 1], -v[:, 0]], axis=1), v)
+        w = np.where(swap, np.stack([w[:, 1], -w[:, 0]], axis=1), w)
+        sa, sb = np.where(swap, sb, sa), np.where(swap, sa, sb)
+    wa, wb = w[:, 0], w[:, 1]
 
-    if sa > 0.0:
+    # The masked fallbacks below are rare; the common case pays one
+    # count_nonzero for each.
+    dead = sa == 0.0
+    if np.count_nonzero(dead):
+        u1 = wa / np.where(dead, 1.0, sa)
+        u1[:, dead] = np.array([[1.0], [0.0], [0.0]])
+    else:
         u1 = wa / sa
+    u2 = wb - _sum3(u1 * wb) * u1
+    n2 = _norm3(u2)
+    bad = n2 <= 1e-12 * np.maximum(1.0, sa)
+    if np.count_nonzero(bad):
+        u2 = u2 / np.where(bad, 1.0, n2)
+        u2[:, bad] = _orthogonal_completion(u1[:, bad])
     else:
-        u1 = np.array([1.0, 0.0, 0.0])
-    u2 = wb - (u1 @ wb) * u1
-    n2 = float(np.linalg.norm(u2))
-    if n2 > 1e-12 * max(1.0, sa):
         u2 = u2 / n2
-    else:
-        u2 = _orthogonal_completion(u1)
-    u3 = np.cross(u1, u2)
-    u3 = u3 / np.linalg.norm(u3)
-    u = np.column_stack([u1, u2, u3])
-    return Svd32(u=u, sigma=(sa, sb), v=v)
+    # u3 = u1 x u2 (a unit vector, as u1 and u2 are orthonormal), with the
+    # cyclic shifts taken as slices of a doubled copy.
+    r1, r2 = np.concatenate((u1, u1)), np.concatenate((u2, u2))
+    u3 = r1[1:4] * r2[2:5] - r1[2:5] * r2[1:4]
+    # (column, row, element) -> (element, row, column)
+    u = np.concatenate((u1, u2, u3)).reshape(3, 3, -1).transpose(2, 1, 0)
+    v = v.transpose(2, 0, 1)
+
+    if not batch:
+        return Svd32(u=u[0], sigma=(float(sa[0]), float(sb[0])), v=v[0])
+    return Svd32(
+        u=u.reshape(batch + (3, 3)),
+        sigma=(sa.reshape(batch), sb.reshape(batch)),
+        v=v.reshape(batch + (2, 2)),
+    )
+
+
+def _orthogonal_completion(u1):
+    # Columns of the (3, k) array u1 are unit vectors.  Start each from the
+    # coordinate axis least aligned with it, then project.
+    cols = np.arange(u1.shape[1])
+    k = np.argmin(np.abs(u1), axis=0)
+    w = -u1[k, cols] * u1
+    w[k, cols] += 1.0
+    return w / _norm3(w)
 
 
 def svd_rates(svd, fdot):

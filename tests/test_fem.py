@@ -21,35 +21,44 @@ def five_triangle_patch():
 
 
 def test_rest_elements_unit_triangle():
-    (el,) = me.build_rest_elements(UNIT_TRIANGLE, TRI)
-    assert el.indices == (0, 1, 2)
-    assert el.area == 0.5
-    assert np.array_equal(el.dm_inv, np.eye(2))
+    problem = me.make_problem(UNIT_TRIANGLE, TRI, me.NeoHookeanSheet(1.0))
+    assert problem.elements.shape == (1, 3)
+    assert problem.elements[0].tolist() == [0, 1, 2]
+    assert problem.area[0] == 0.5
+    assert np.array_equal(problem.dm_inv[0], np.eye(2))
 
 
 def test_rest_elements_frame_invariant_area():
     rng = np.random.default_rng(2)
     q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
     moved = UNIT_TRIANGLE @ q.T + np.array([3.0, -2.0, 5.0])
-    (el,) = me.build_rest_elements(moved, TRI)
-    assert el.area == pytest.approx(0.5, abs=1e-14)
-    det = np.linalg.det(el.dm_inv)
+    problem = me.make_problem(moved, TRI, me.NeoHookeanSheet(1.0))
+    assert problem.area[0] == pytest.approx(0.5, abs=1e-14)
+    det = np.linalg.det(problem.dm_inv[0])
     assert abs(abs(det) - 1.0) < 1e-12
 
 
 def test_rest_elements_degenerate_triangle():
     collinear = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
     with pytest.raises(me.DegenerateTriangle) as exc:
-        me.build_rest_elements(collinear, TRI)
+        me.make_problem(collinear, TRI, me.NeoHookeanSheet(1.0))
     assert exc.value.element == 0
+    # With two degenerate triangles the lower index is named.
+    rest, tris = five_triangle_patch()
+    rest[6] = rest[2]  # collapses triangle 4 = (2, 6, 5)
+    rest[3] = 2.0 * rest[4]  # puts triangle 1 = (0, 4, 3) on a line
+    with pytest.raises(me.DegenerateTriangle) as exc:
+        me.make_problem(rest, tris, me.NeoHookeanSheet(1.0))
+    assert exc.value.element == 1
 
 
 def test_deformation_gradient_rest_and_stretch():
-    (el,) = me.build_rest_elements(UNIT_TRIANGLE, TRI)
-    f = me.element_deformation_gradient(el, *UNIT_TRIANGLE)
-    assert np.array_equal(f, np.eye(3)[:, :2])
-    f2 = me.element_deformation_gradient(el, *(2.0 * UNIT_TRIANGLE))
-    assert np.array_equal(f2, 2.0 * np.eye(3)[:, :2])
+    problem = me.make_problem(UNIT_TRIANGLE, TRI, me.NeoHookeanSheet(1.0))
+    f = fem.deformation_gradients(problem, UNIT_TRIANGLE)
+    assert f.shape == (1, 3, 2)
+    assert np.array_equal(f[0], np.eye(3)[:, :2])
+    f2 = fem.deformation_gradients(problem, 2.0 * UNIT_TRIANGLE)
+    assert np.array_equal(f2[0], 2.0 * np.eye(3)[:, :2])
 
 
 def test_total_energy_single_triangle_stretch():
@@ -77,6 +86,15 @@ def test_mu_scale_scales_energy():
     assert me.total_energy(doubled, x) == pytest.approx(
         2.0 * me.total_energy(plain, x), rel=1e-14
     )
+    # The factor folds into the element weights, so the energy, gradient and
+    # Hessian (every model derivative) scale with it.
+    assert np.array_equal(doubled.weights, 2.0 * plain.area)
+    for project in (False, True):
+        e1, g1, h1 = me.assemble(plain, x, project=project)
+        e2, g2, h2 = me.assemble(doubled, x, project=project)
+        assert e2 == pytest.approx(2.0 * e1, rel=1e-14)
+        assert np.allclose(g2, 2.0 * g1, rtol=1e-14, atol=1e-15)
+        assert np.allclose(h2.toarray(), 2.0 * h1.toarray(), rtol=1e-14, atol=1e-15)
 
 
 def test_make_problem_validation():
@@ -88,6 +106,8 @@ def test_make_problem_validation():
         me.make_problem(UNIT_TRIANGLE, TRI, me.NeoHookeanSheet(1.0), pins={0: [np.nan, 0, 0]})
     with pytest.raises(ValueError):
         me.make_problem(UNIT_TRIANGLE, TRI, me.NeoHookeanSheet(1.0), mu_scale=[1.0, 2.0])
+    with pytest.raises(ValueError):
+        me.make_problem(UNIT_TRIANGLE, TRI, me.NeoHookeanSheet(1.0), mu_scale=[-1.0])
 
 
 def test_pin_mask_and_apply():
@@ -157,6 +177,82 @@ def test_domain_error_reports_element():
     with pytest.raises(me.DomainError) as exc:
         me.total_energy(problem, x)
     assert exc.value.element == 4
+    # With two collapsed triangles both routes name the lower index.
+    x[3] = 2.0 * x[4]  # puts triangle 1 = (0, 4, 3) on a line
+    for evaluate in (me.total_energy, me.assemble):
+        with pytest.raises(me.DomainError) as exc:
+            evaluate(problem, x)
+        assert exc.value.element == 1
+        assert str(exc.value).startswith("element 1: ")
+
+
+def _pullback_6x9(dm_inv):
+    # Rows: row-major vec(F); columns: element dofs (x0, x1, x2) * (x, y, z).
+    j = np.zeros((6, 9))
+    for i in range(3):
+        for col in range(2):
+            r = 2 * i + col
+            j[r, 3 + i] = dm_inv[0, col]
+            j[r, 6 + i] = dm_inv[1, col]
+            j[r, i] = -(dm_inv[0, col] + dm_inv[1, col])
+    return j
+
+
+def _scalar_route(problem, x, project, eigensystem):
+    """Energy, gradient and dense Hessian by a loop over the elements, one
+    F at a time through the public kernels."""
+    model = problem.model
+    n = problem.n_vertices
+    energy = 0.0
+    grad = np.zeros(3 * n)
+    hess = np.zeros((3 * n, 3 * n))
+    for e, (a, b, c) in enumerate(problem.elements):
+        f = np.column_stack([x[b] - x[a], x[c] - x[a]]) @ problem.dm_inv[e]
+        s = me.svd32(f)
+        weight = problem.area[e] * problem.mu_scale[e]
+        energy += weight * model.derivs(me.invariants(s)).psi
+        eig = eigensystem(s)
+        if project:
+            eig = me.project_psd(eig)
+        j = _pullback_6x9(problem.dm_inv[e])
+        dofs = [3 * v + k for v in (a, b, c) for k in range(3)]
+        grad[dofs] += weight * (j.T @ me.energy_gradient(model, s, f).reshape(6))
+        hess[np.ix_(dofs, dofs)] += weight * (j.T @ eig.dense6() @ j)
+    energy -= float(x.sum(axis=0) @ problem.gravity)
+    grad -= np.tile(problem.gravity, n)
+    mask = problem.pinned_dof_mask()
+    grad[mask] = 0.0
+    hess[mask, :] = 0.0
+    hess[:, mask] = 0.0
+    hess[mask, mask] = 1.0
+    return energy, grad, hess
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_assemble_matches_scalar_route(seed):
+    rng = np.random.default_rng(seed)
+    rest, tris = me.grid_mesh(3, 2)
+    rest = rest + 0.05 * rng.uniform(-1.0, 1.0, rest.shape) * [1.0, 1.0, 0.0]
+    x = rest * [1.2, 0.9, 1.0] + 0.04 * rng.uniform(-1.0, 1.0, rest.shape)
+    pins = {int(v): x[v] for v in rng.choice(len(rest), size=3, replace=False)}
+    model = me.NeoHookeanSheet(rng.uniform(0.5, 2.0))
+    problem = me.make_problem(
+        rest, tris, model, pins=pins, gravity=rng.uniform(-0.1, 0.1, 3),
+        mu_scale=rng.uniform(0.5, 2.0, len(tris)),
+    )
+    routes = (
+        lambda s: me.sheet_eigensystem(model.mu, s, model.i3_floor),
+        lambda s: me.energy_eigensystem(model, s),
+    )
+    for project in (True, False):
+        energy, grad, hess = me.assemble(problem, x, project=project)
+        for route in routes:
+            e_ref, g_ref, h_ref = _scalar_route(problem, x, project, route)
+            assert abs(energy - e_ref) <= 1e-12 * abs(e_ref)
+            assert np.max(np.abs(grad - g_ref)) <= 1e-12 * np.max(np.abs(g_ref))
+            assert np.max(np.abs(hess.toarray() - h_ref)) <= 1e-12 * np.max(np.abs(h_ref))
+    # The line search compares the two, so they must agree bitwise.
+    assert me.total_energy(problem, x) == energy
 
 
 def test_newton_rest_state_converges_immediately():
@@ -190,8 +286,9 @@ def test_newton_stretch_patch_converges():
 
 
 def test_newton_stretch_20x20_converges_at_roundoff_floor(tmp_path):
-    # Quadratic convergence stalls at |g|inf ~ 1.9e-8 > tol, where no step
-    # can lower the energy; the solve must end there as converged.
+    # Quadratic convergence reaches |g|inf ~ 1.9e-8 > tol at the roundoff
+    # floor of the energy.  Whether a last step still lowers the energy by
+    # an ulp or none can, the solve must end there as converged.
     problem, x0, config, _ = me.load_scene(
         build_stretch_scene(tmp_path, nx=20, ny=20)
     )
@@ -199,6 +296,32 @@ def test_newton_stretch_20x20_converges_at_roundoff_floor(tmp_path):
     assert report.termination == "converged"
     assert report.iterations <= 6
     assert report.history[-1][2] < 1e-7
+    energies = [row[1] for row in report.history]
+    assert all(b < a for a, b in zip(energies, energies[1:]))
+
+
+def test_newton_ends_converged_at_roundoff_floor():
+    # With tol = 0 no gradient is small enough, so the solve can only end
+    # through the Newton-decrement floor once no step lowers the energy.
+    rest, tris = me.grid_mesh(4, 4)
+    pins = {}
+    for j in range(5):
+        for i in (0, 4):
+            v = i + j * 5
+            pins[v] = [1.5 * rest[v][0] - 0.25, rest[v][1], 0.0]
+    problem = me.make_problem(rest, tris, me.NeoHookeanSheet(1.0), pins=pins)
+    _, report = me.newton_solve(problem, rest, me.NewtonConfig(tol=0.0))
+    assert report.termination == "converged"
+    assert report.iterations < 10
+    assert report.history[-1][2] < 1e-12
+
+
+@pytest.mark.parametrize("n", [30, 40])
+def test_newton_stretch_large_mesh_converges(tmp_path, n):
+    problem, x0, config, _ = me.load_scene(build_stretch_scene(tmp_path, nx=n, ny=n))
+    _, report = me.newton_solve(problem, x0, config)
+    assert report.termination == "converged"
+    assert report.iterations <= 8
     energies = [row[1] for row in report.history]
     assert all(b < a for a, b in zip(energies, energies[1:]))
 

@@ -98,6 +98,18 @@ def test_obj_reader_missing_file(tmp_path):
         me.load_obj(tmp_path / "absent.obj")
 
 
+def test_save_obj_exact_bytes(tmp_path):
+    path = tmp_path / "tri.obj"
+    positions = np.array([[0.0, 0.1, -2.5], [1.0 / 3.0, 1e-20, 7.0], [-0.0, 2.0, 1e16]])
+    me.save_obj(path, positions, np.array([[0, 1, 2]]))
+    assert path.read_bytes() == (
+        b"v 0.0 0.1 -2.5\n"
+        b"v 0.3333333333333333 1e-20 7.0\n"
+        b"v -0.0 2.0 1e+16\n"
+        b"f 1 2 3\n"
+    )
+
+
 def test_load_scene_fields(stretch_scene):
     problem, x0, config, output_dir = me.load_scene(stretch_scene)
     assert problem.n_vertices == 121
@@ -144,7 +156,7 @@ def test_solve_and_export_outputs(stretch_scene):
     assert np.array_equal(first_p, x0)
     last_p, _ = me.load_obj(frames[-1])
     assert np.array_equal(last_p, positions)
-    assert np.array_equal(first_t, np.array([el.indices for el in problem.elements]))
+    assert np.array_equal(first_t, problem.elements)
 
     with open(output_dir / "report.json", encoding="utf-8") as fh:
         payload = json.load(fh)

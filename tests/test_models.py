@@ -35,8 +35,12 @@ def test_model_derivs_layout():
     sp = d.second_partials()
     assert np.array_equal(sp, sp.T)
     assert sp[0, 1] == 2.0 and sp[1, 2] == 3.0 and sp[2, 2] == 4.0
-    doubled = d.scaled(2.0)
-    assert doubled.psi == 2.0 and doubled.f12 == 4.0 and doubled.f33 == 8.0
+    # Fields may be arrays over a stack of elements.
+    stacked = ModelDerivs(psi=np.ones(2), f12=np.array([2.0, 4.0]), f23=3.0, f33=4.0)
+    sp = stacked.second_partials()
+    assert sp.shape == (2, 3, 3)
+    assert np.array_equal(sp, np.swapaxes(sp, 1, 2))
+    assert sp[1, 0, 1] == 4.0 and sp[1, 1, 2] == 3.0 and sp[1, 2, 2] == 4.0
 
 
 def test_sheet_derivs_diag21(diag21):

@@ -186,3 +186,75 @@ def test_lifted_perturbation_roundtrip():
     assert lifted.shape == (6, 3, 2)
     for c, q in zip(stack, lifted):
         assert np.array_equal(q, lifted_perturbation(s, *c.reshape(6)))
+
+
+# F whose rounded ||F v_a|| falls below ||F v_b|| (a near-tie), so svd32
+# takes its column-swap branch; without the swap sigma would be ascending.
+SWAP_F = np.array(
+    [
+        [-0.3301722008904464, -0.4615752126934596],
+        [0.9404672513088752, -0.08631487932821791],
+        [-0.08067011202848115, 0.8828918759585133],
+    ]
+)
+
+
+def _special_fs():
+    return [
+        np.eye(3)[:, :2],  # tie: V = Id
+        np.array([[0.0, 1.0], [1.0, 0.0], [0.0, 0.0]]),  # tie, normal flips
+        np.array([[3.0, 0.0], [0.0, 0.0], [0.0, 0.0]]),  # rank 1: tiny u2
+        np.zeros((3, 2)),  # sa = 0
+        SWAP_F,
+        np.array([[1.0, 0.0], [0.0, 1e-13], [0.0, 0.0]]),
+        np.array([[0.0, 0.0], [0.0, 0.0], [0.0, 2.9544349174516435e-157]]),
+    ]
+
+
+def test_stack_matches_single_calls_bitwise():
+    rng = np.random.default_rng(12)
+    fs = np.concatenate([np.array(_special_fs()), rng.uniform(-2.0, 2.0, (40, 3, 2))])
+    stack = svd32(fs)
+    assert stack.u.shape == (len(fs), 3, 3)
+    assert stack.v.shape == (len(fs), 2, 2)
+    assert stack.sigma[0].shape == stack.sigma[1].shape == (len(fs),)
+    for k, f in enumerate(fs):
+        one = svd32(f)
+        assert np.array_equal(stack.u[k], one.u)
+        assert np.array_equal(stack.v[k], one.v)
+        assert (stack.sigma[0][k], stack.sigma[1][k]) == one.sigma
+        assert_conventions(one)
+        assert np.array_equal(one.normal, np.cross(one.u[:, 0], one.u[:, 1]))
+        assert np.max(np.abs(one.reconstruct() - f)) <= 1e-12 * max(1.0, np.linalg.norm(f))
+    # A stack of one, and a stack with two leading axes, agree as well.
+    single = svd32(fs[4][None])
+    assert np.array_equal(single.u[0], svd32(fs[4]).u)
+    grid = svd32(fs[:6].reshape(2, 3, 3, 2))
+    assert np.array_equal(grid.u.reshape(6, 3, 3), stack.u[:6])
+    assert np.array_equal(grid.sigma[1].ravel(), stack.sigma[1][:6])
+    assert np.max(np.abs(stack.reconstruct() - fs)) < 1e-12 * 4.0
+
+
+def test_stack_masked_fallbacks():
+    # sa = 0 and a tiny u2 each take a masked fallback, inside a stack of
+    # ordinary matrices that must not be touched by it.
+    fs = np.array([np.diag([2.0, 1.0, 0.0])[:, :2], np.zeros((3, 2)), _special_fs()[2]])
+    s = svd32(fs)
+    assert np.array_equal(s.u[0], np.eye(3))
+    assert (s.sigma[0][1], s.sigma[1][1]) == (0.0, 0.0)
+    assert np.array_equal(s.u[1][:, 0], [1.0, 0.0, 0.0])
+    assert (s.sigma[0][2], s.sigma[1][2]) == (3.0, 0.0)
+    for k in (1, 2):
+        u = s.u[k]
+        assert np.max(np.abs(u.T @ u - np.eye(3))) < 1e-12
+        assert abs(np.linalg.det(u) - 1.0) < 1e-12
+    assert svd32(np.zeros((0, 3, 2))).u.shape == (0, 3, 3)
+
+
+def test_stack_input_validation():
+    with pytest.raises(ValueError):
+        svd32(np.zeros((4, 2, 3)))
+    bad = np.zeros((4, 3, 2))
+    bad[2, 1, 0] = np.inf
+    with pytest.raises(ValueError):
+        svd32(bad)
