@@ -9,15 +9,8 @@ verification plus timing harnesses.
 """
 
 from .bench import BenchReport, run_bench
-from .checks import (
-    CheckReport,
-    random_f,
-    random_f_admissible,
-    random_f_nondegenerate,
-    run_checks,
-)
+from .checks import CheckReport, run_checks
 from .fem import (
-    AREA_EPS,
     DegenerateTriangle,
     LinearSolveFailed,
     LineSearchFailed,
@@ -49,28 +42,13 @@ from .models import (
     project_psd,
     sheet_eigensystem,
 )
-from .oracles import (
-    NotSymmetric,
-    Spectrum6,
-    fd_gradient,
-    fd_hessian6,
-    jacobi_eigen_sym,
-)
+from .oracles import NotSymmetric, fd_gradient, fd_hessian6, jacobi_eigen_sym
 from .scene import load_scene, solve_and_export, solve_scene
-from .svd import (
-    SIGMA_EPS,
-    DegenerateRates,
-    Svd32,
-    SvdRates,
-    lifted_perturbation,
-    svd32,
-    svd_rates,
-)
+from .svd import DegenerateRates, Svd32, SvdRates, svd32, svd_rates
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AREA_EPS",
     "BenchReport",
     "CheckReport",
     "DegenerateHessian",
@@ -86,9 +64,7 @@ __all__ = [
     "NeoHookeanSheet",
     "NewtonConfig",
     "NotSymmetric",
-    "SIGMA_EPS",
     "SolveReport",
-    "Spectrum6",
     "Svd32",
     "SvdRates",
     "assemble",
@@ -103,15 +79,11 @@ __all__ = [
     "invariant_hvp",
     "invariants",
     "jacobi_eigen_sym",
-    "lifted_perturbation",
     "load_obj",
     "load_scene",
     "make_problem",
     "newton_solve",
     "project_psd",
-    "random_f",
-    "random_f_admissible",
-    "random_f_nondegenerate",
     "run_bench",
     "run_checks",
     "save_obj",

@@ -14,6 +14,8 @@ from .svd import svd32
 
 __all__ = ["BenchReport", "run_bench"]
 
+_MU = 1.0
+
 
 @dataclass(frozen=True)
 class BenchReport:
@@ -42,24 +44,24 @@ class BenchReport:
         )
 
 
-def run_bench(trials=200, seed=0, mu=1.0):
-    """Time both spectrum routes on the same admissible ensemble."""
+def run_bench(trials=200, seed=0):
+    """Time both spectrum routes on the same admissible ensemble (mu = 1)."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(seed)
     fs = [random_f_admissible(rng) for _ in range(trials)]
-    model = NeoHookeanSheet(mu)
+    model = NeoHookeanSheet(_MU)
 
     def psi(f):
         return model.derivs(invariants(svd32(f))).psi
 
     # Warm both paths so first-call overheads stay out of the timings.
-    sheet_eigensystem(mu, svd32(fs[0]))
+    sheet_eigensystem(_MU, svd32(fs[0]))
     jacobi_eigen_sym(fd_hessian6(psi, fs[0]))
 
     t0 = time.perf_counter_ns()
     for f in fs:
-        sheet_eigensystem(mu, svd32(f))
+        sheet_eigensystem(_MU, svd32(f))
     analytic_ns = (time.perf_counter_ns() - t0) / trials
 
     t0 = time.perf_counter_ns()

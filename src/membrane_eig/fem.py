@@ -197,6 +197,10 @@ class NewtonConfig:
     tol: float = 1e-8
     max_iters: int = 100
 
+    def __post_init__(self):
+        if self.max_iters < 0:
+            raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
+
 
 @dataclass(frozen=True, eq=False)
 class SolveReport:
@@ -256,11 +260,12 @@ def make_problem(
     gravity=None,
     mu_scale=None,
 ):
-    """Build a problem's rest data and validate its pins.
+    """Build a problem's rest data and validate its pins and loads.
 
     ``pins`` maps vertex index -> target position (dict or iterable of
-    (vertex, target) pairs).  ``mu_scale`` is one nonnegative factor per
-    triangle.
+    (vertex, target) pairs); each target and ``gravity`` (a force on every
+    vertex) are 3 finite numbers.  ``mu_scale`` is one nonnegative factor
+    per triangle.  Raises ValueError on malformed input.
     """
     rest_positions = np.asarray(rest_positions, dtype=float)
     elements = np.array(triangles, dtype=int).reshape(-1, 3)
@@ -274,12 +279,14 @@ def make_problem(
             raise ValueError("duplicate pinned vertex")
         if pv.size and (pv.min() < 0 or pv.max() >= n):
             raise ValueError("pinned vertex index out of range")
-        if not np.all(np.isfinite(pt)):
-            raise ValueError("non-finite pin target")
+        if pt.shape != (len(pv), 3) or not np.all(np.isfinite(pt)):
+            raise ValueError("each pin target must be 3 finite numbers")
     else:
         pv = np.zeros(0, dtype=int)
         pt = np.zeros((0, 3))
     g = np.zeros(3) if gravity is None else np.asarray(gravity, dtype=float)
+    if g.shape != (3,) or not np.all(np.isfinite(g)):
+        raise ValueError("gravity must be 3 finite numbers")
     ms = None if mu_scale is None else np.asarray(mu_scale, dtype=float)
     if ms is not None:
         if ms.shape != area.shape:

@@ -16,6 +16,9 @@ __all__ = [
 ]
 
 
+_MAX_SWEEPS = 60
+
+
 class NotSymmetric(ValueError):
     """Input matrix is not symmetric within tolerance."""
 
@@ -80,13 +83,13 @@ def fd_hessian6(fn, f, h=1e-4):
     return 0.5 * (out + out.T)
 
 
-def jacobi_eigen_sym(a, max_sweeps=60):
+def jacobi_eigen_sym(a):
     """Dense symmetric eigendecomposition by cyclic Jacobi rotations.
 
     Sweeps until the off-diagonal Frobenius norm drops below 1e-14 times the
-    matrix norm.  Eigenvalues are returned ascending with their eigenvector
-    columns; each vector's largest-magnitude component is made positive so
-    the output is deterministic.
+    matrix norm, at most 60 times.  Eigenvalues are returned ascending with
+    their eigenvector columns; each vector's largest-magnitude component is
+    made positive so the output is deterministic.
 
     Raises
     ------
@@ -111,7 +114,7 @@ def jacobi_eigen_sym(a, max_sweeps=60):
         np.fill_diagonal(o, 0.0)
         return np.linalg.norm(o)
 
-    for _ in range(max_sweeps):
+    for _ in range(_MAX_SWEEPS):
         if off(a) <= 1e-14 * norm:
             break
         for p in range(n - 1):

@@ -76,20 +76,18 @@ def load_scene(path):
     return problem, x0, config, output.resolve()
 
 
-def solve_and_export(problem, x0, config, output_dir, triangles=None):
+def solve_and_export(problem, x0, config, output_dir):
     """Run the Newton solve and write frames, report.json, convergence.csv.
 
-    ``triangles`` is needed for the OBJ frames; if omitted, the problem's
-    (E, 3) element index array is used (correct for meshes built by
-    make_problem from a triangle list).
+    The OBJ frames use the problem's (E, 3) element index array as faces.
     """
     output_dir = Path(output_dir)
     output_dir.mkdir(parents=True, exist_ok=True)
-    if triangles is None:
-        triangles = problem.elements
 
     def write_frame(iteration, positions):
-        save_obj(output_dir / f"frame_{iteration:04d}.obj", positions, triangles)
+        save_obj(
+            output_dir / f"frame_{iteration:04d}.obj", positions, problem.elements
+        )
 
     positions, report = newton_solve(problem, x0, config, callback=write_frame)
 

@@ -60,7 +60,6 @@ __all__ = [
     "SvdRates",
     "svd32",
     "svd_rates",
-    "lifted_perturbation",
 ]
 
 
@@ -307,11 +306,3 @@ def svd_rates(svd, fdot):
         alpha=float(al),
     )
 
-
-def lifted_perturbation(svd, a, b, c, d, e, f):
-    """Map coefficients in the rotated frame to a world-space perturbation.
-
-    Returns U @ [[a, b], [c, d], [e, f]] @ V^T.  The six coefficients are the
-    entries of U^T Fdot V, so this inverts that change of frame.
-    """
-    return svd.lift(np.array([[a, b], [c, d], [e, f]], dtype=float))

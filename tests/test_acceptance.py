@@ -14,6 +14,7 @@ import time
 import numpy as np
 
 import membrane_eig as me
+from membrane_eig.checks import random_f_admissible, random_f_nondegenerate
 
 from conftest import build_stretch_scene
 
@@ -43,14 +44,14 @@ _AD = None
 def nondegenerate_ensemble():
     global _ND
     if _ND is None:
-        _ND = _ensemble(me.random_f_nondegenerate, seed=42)
+        _ND = _ensemble(random_f_nondegenerate, seed=42)
     return _ND
 
 
 def admissible_ensemble():
     global _AD
     if _AD is None:
-        _AD = _ensemble(me.random_f_admissible, seed=43)
+        _AD = _ensemble(random_f_admissible, seed=43)
     return _AD
 
 

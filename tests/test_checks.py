@@ -95,13 +95,72 @@ def test_mutation_in_gradient_is_detected(monkeypatch):
     assert "invariant_gradients_fd" in failed_names
 
 
+def _run_only(monkeypatch, name, **kwargs):
+    # run_checks with the registry cut down to the one check named.
+    fn = getattr(checks, "_check_" + name)
+    monkeypatch.setattr(checks, "_CHECKS", [fn])
+    (report,) = me.run_checks(**kwargs)
+    assert report.name == name
+    return report
+
+
+def test_nan_on_a_later_trial_fails_its_check(monkeypatch):
+    original = invariants_module.invariant_hvp
+    calls = []
+
+    def nan_on_second_call(svd, w):
+        calls.append(svd)
+        h1, h2, h3 = original(svd, w)
+        return (h1, np.full_like(h2, np.nan), h3) if len(calls) == 2 else (h1, h2, h3)
+
+    monkeypatch.setattr(invariants_module, "invariant_hvp", nan_on_second_call)
+    r = _run_only(monkeypatch, "invariant_hvp_i2_exact", seed=5, trials=6)
+    assert len(calls) == 6
+    assert not r.passed
+    assert np.isnan(r.max_error)
+    f2 = np.array(r.counterexample)
+    assert f2.shape == (3, 2)
+    assert np.max(np.abs(f2 - calls[1].reconstruct())) < 1e-12
+    assert np.max(np.abs(f2 - calls[0].reconstruct())) > 1e-3
+
+
+def test_witnessless_check_reports_its_largest_error(monkeypatch):
+    # An ascent direction on the first trial only: the worst error comes
+    # first, and fem_descent keeps no counterexample.
+    original = checks.fem_mod._newton_direction
+    grads = []
+
+    def ascent_first(hess, grad):
+        grads.append(grad)
+        return grad if len(grads) == 1 else original(hess, grad)
+
+    monkeypatch.setattr(checks.fem_mod, "_newton_direction", ascent_first)
+    r = _run_only(monkeypatch, "fem_descent", seed=0, trials=300)
+    assert r.trials == 3 and len(grads) == 3
+    gg = float(grads[0] @ grads[0])
+    assert r.max_error == gg / max(1.0, gg)
+    assert not r.passed
+    assert r.counterexample is None
+
+
+def test_registry_is_every_check_in_definition_order():
+    defined = [
+        value
+        for key, value in vars(checks).items()
+        if key.startswith("_check_") and callable(value)
+    ]
+    assert list(checks._CHECKS) == defined
+    assert len(set(map(id, checks._CHECKS))) == len(checks._CHECKS)
+    assert len(checks._CHECKS) == 33
+
+
 def test_random_f_samplers():
     rng = np.random.default_rng(0)
     for _ in range(50):
-        f = me.random_f(rng)
+        f = checks.random_f(rng)
         assert f.shape == (3, 2)
         assert np.all(np.abs(f) <= 2.0)
-        fn = me.random_f_nondegenerate(rng)
+        fn = checks.random_f_nondegenerate(rng)
         assert me.svd32(fn).sigma[1] > 0.05
-        fa = me.random_f_admissible(rng)
+        fa = checks.random_f_admissible(rng)
         assert me.invariants(me.svd32(fa)).i3 > 0.05

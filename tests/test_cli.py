@@ -140,6 +140,17 @@ def test_solve_missing_scene(capsys, tmp_path):
     assert "error:" in err
 
 
+def test_solve_negative_max_iters_writes_nothing(capsys, stretch_scene):
+    spec = json.loads(stretch_scene.read_text())
+    spec["max_iters"] = -1
+    stretch_scene.write_text(json.dumps(spec))
+    code, out, err = run_cli(capsys, "solve", "--scene", str(stretch_scene))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert not (stretch_scene.parent / spec["output_dir"]).exists()
+
+
 def test_bench_output(capsys):
     code, out, _ = run_cli(capsys, "bench", "--trials", "3")
     assert code == 0

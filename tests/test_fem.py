@@ -108,6 +108,11 @@ def test_make_problem_validation():
         me.make_problem(UNIT_TRIANGLE, TRI, me.NeoHookeanSheet(1.0), mu_scale=[1.0, 2.0])
     with pytest.raises(ValueError):
         me.make_problem(UNIT_TRIANGLE, TRI, me.NeoHookeanSheet(1.0), mu_scale=[-1.0])
+    with pytest.raises(ValueError):
+        me.make_problem(UNIT_TRIANGLE, TRI, me.NeoHookeanSheet(1.0), pins={0: [0, 0]})
+    for gravity in ([0.0, -1.0], [0.0, 0.0, np.nan], [[0.0, 0.0, -1.0]]):
+        with pytest.raises(ValueError):
+            me.make_problem(UNIT_TRIANGLE, TRI, me.NeoHookeanSheet(1.0), gravity=gravity)
 
 
 def test_pin_mask_and_apply():

@@ -5,13 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from membrane_eig import (
-    SIGMA_EPS,
-    DegenerateRates,
-    lifted_perturbation,
-    svd32,
-    svd_rates,
-)
+from membrane_eig import DegenerateRates, svd32, svd_rates
+from membrane_eig.svd import SIGMA_EPS
 
 
 def assert_conventions(svd):
@@ -168,24 +163,24 @@ def test_sigma_eps_is_the_rate_threshold():
 
 def test_lifted_perturbation_identity_frame():
     s = svd32(np.eye(3)[:, :2])
-    out = lifted_perturbation(s, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    out = s.lift(np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]))
     assert np.array_equal(out, [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
-    out = lifted_perturbation(s, 0.0, 0.0, 0.0, 0.0, 2.0, -3.0)
+    out = s.lift(np.array([[0.0, 0.0], [0.0, 0.0], [2.0, -3.0]]))
     assert np.array_equal(out, [[0.0, 0.0], [0.0, 0.0], [2.0, -3.0]])
 
 
 def test_lifted_perturbation_roundtrip():
     f = np.array([[0.9, -1.4], [1.7, 0.3], [-0.2, 1.1]])
     s = svd32(f)
-    coeffs = (0.3, -1.2, 0.8, 0.5, -0.7, 1.6)
-    out = lifted_perturbation(s, *coeffs)
+    coeffs = np.array([[0.3, -1.2], [0.8, 0.5], [-0.7, 1.6]])
+    out = s.lift(coeffs)
     back = s.u.T @ out @ s.v
-    assert np.max(np.abs(back.reshape(6) - np.array(coeffs))) < 1e-12
+    assert np.max(np.abs(back - coeffs)) < 1e-12
     stack = np.random.default_rng(4).uniform(-2.0, 2.0, size=(6, 3, 2))
     lifted = s.lift(stack)
     assert lifted.shape == (6, 3, 2)
     for c, q in zip(stack, lifted):
-        assert np.array_equal(q, lifted_perturbation(s, *c.reshape(6)))
+        assert np.array_equal(q, s.lift(c))
 
 
 # F whose rounded ||F v_a|| falls below ||F v_b|| (a near-tie), so svd32
