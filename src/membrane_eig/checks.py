@@ -57,10 +57,11 @@ class CheckReport:
     counterexample: object = None
 
     def to_dict(self):
+        """JSON-ready fields; a NaN or infinite ``max_error`` becomes None."""
         return {
             "name": self.name,
             "trials": self.trials,
-            "max_error": self.max_error,
+            "max_error": self.max_error if math.isfinite(self.max_error) else None,
             "tol": self.tol,
             "passed": self.passed,
             "counterexample": self.counterexample,

@@ -86,7 +86,7 @@ def _cmd_check(args):
             "all_passed": all_passed,
             "checks": [r.to_dict() for r in reports],
         }
-        print(json.dumps(payload, sort_keys=True, indent=2))
+        print(json.dumps(payload, sort_keys=True, indent=2, allow_nan=False))
     else:
         for r in reports:
             status = "PASS" if r.passed else "FAIL"

@@ -9,10 +9,12 @@ the deformed 3x2 gradient of a linear element is
 Total energy is sum_e area_e * psi(F_e) minus an optional constant
 per-vertex force term.  The Newton solver uses analytically projected
 element Hessians (eigenvalues clamped at zero before the 9x9 pullback), a
-sparse factorization with a Tikhonov fallback, and Armijo backtracking that
-treats model DomainErrors from trial states as step rejections.  A step
-that no halving can make decrease the energy ends the solve as converged
-when the Newton decrement is at the roundoff floor of the energy.
+sparse LU factorization of H + tau I (clamping leaves H singular, as at
+flat rest; tau = 1e-8, raised tenfold up to 1e-2 while factoring fails),
+and Armijo backtracking that treats model DomainErrors from trial states
+as step rejections.  A step that no halving can make decrease the energy
+ends the solve as converged when the Newton decrement is at the roundoff
+floor of the energy.
 
 Pinned vertices are held at their targets by replacing their rows and
 columns of the system with identity and zeroing their gradient entries.
@@ -406,11 +408,10 @@ _DECREMENT_FLOOR = 16.0 * float(np.finfo(float).eps)
 
 def _newton_direction(hess, grad):
     rhs = -grad
-    attempts = [None] + list(_TIKHONOV_TAUS)
-    for tau in attempts:
-        h = hess if tau is None else hess + tau * sp.identity(hess.shape[0], format="csr")
+    eye = sp.identity(hess.shape[0], format="csr")
+    for tau in _TIKHONOV_TAUS:
         try:
-            d = spla.splu(h.tocsc()).solve(rhs)
+            d = spla.splu((hess + tau * eye).tocsc()).solve(rhs)
         except RuntimeError:
             continue
         if np.all(np.isfinite(d)) and grad @ d <= 0.0:
@@ -456,14 +457,13 @@ def newton_solve(problem, x0, config=None, callback=None):
     termination = "max_iters"
     iterations = 0
     for it in range(cfg.max_iters + 1):
+        # Only x0 can be inadmissible: accepted steps passed total_energy.
         try:
             energy, grad, hess = assemble(problem, x)
         except DomainError as err:
-            if it == 0:
-                raise LineSearchFailed(
-                    f"initial configuration is inadmissible: {err}"
-                ) from err
-            raise  # accepted states were admissible; re-raise loudly
+            raise LineSearchFailed(
+                f"initial configuration is inadmissible: {err}"
+            ) from err
         grad_norm = float(np.max(np.abs(grad))) if grad.size else 0.0
         history.append((it, float(energy), grad_norm, last_step))
         if callback is not None:

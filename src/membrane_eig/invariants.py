@@ -48,24 +48,13 @@ __all__ = [
 
 _SQRT_HALF = math.sqrt(0.5)
 
-# Coefficient matrices of the recurring modes, in the rotated frame.
-_C_SCALE = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]) * _SQRT_HALF
-_C_ANTISCALE = np.array([[1.0, 0.0], [0.0, -1.0], [0.0, 0.0]]) * _SQRT_HALF
+# Coefficient matrices of the modes shared by every eigensystem (slots
+# 2-5), in the rotated frame.
 _C_TWIST = np.array([[0.0, -1.0], [1.0, 0.0], [0.0, 0.0]]) * _SQRT_HALF
 _C_FLIP = np.array([[0.0, 1.0], [1.0, 0.0], [0.0, 0.0]]) * _SQRT_HALF
-_C_D1 = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
-_C_D2 = np.array([[0.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
-_C_E12 = np.array([[0.0, 1.0], [0.0, 0.0], [0.0, 0.0]])
-_C_E21 = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]])
 _C_N1 = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
 _C_N2 = np.array([[0.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
-
-# Coefficient stacks in slot order.  Slots 2-5 of every eigensystem but
-# I2's are twist, flip, normal-1, normal-2; I1 and I3 share their diag-block
-# modes; I2 takes the canonical basis (E11, E22, E12, E21, E31, E32).
 _C_MODES = np.stack([_C_TWIST, _C_FLIP, _C_N1, _C_N2])
-_C_SLOTS_I13 = np.concatenate([np.stack([_C_SCALE, _C_ANTISCALE]), _C_MODES])
-_C_SLOTS_I2 = np.stack([_C_D1, _C_D2, _C_E12, _C_E21, _C_N1, _C_N2])
 
 
 class DegenerateHessian(ValueError):
@@ -143,6 +132,13 @@ def _slot_coeffs(va, vb):
     out[..., 1, 0, 0], out[..., 1, 1, 1] = vb
     out[..., 2:, :, :] = _C_MODES
     return out
+
+
+# I1 and I3 share their diag-block modes, the scale and antiscale
+# directions.  I2's Hessian is 2 Id, so any orthonormal basis is exact; it
+# takes E11 and E22.
+_C_SLOTS_I13 = _slot_coeffs((_SQRT_HALF, _SQRT_HALF), (_SQRT_HALF, -_SQRT_HALF))
+_C_SLOTS_I2 = _slot_coeffs((1.0, 0.0), (0.0, 1.0))
 
 
 def _eigensystem6(svd, values, coeffs):
@@ -250,9 +246,9 @@ def invariant_eigensystem(which, svd):
 
     Notes
     -----
-    I2's Hessian is 2 * identity, so any orthonormal basis works; the lifted
-    canonical basis is returned (E11, E22, E12, E21, E31, E32 order).  I1 and
-    I3 require nondegenerate singular values.
+    I2's Hessian is 2 * identity, so any orthonormal basis works; its
+    diag-block slots are E11 and E22.  I1 and I3 require nondegenerate
+    singular values.
     """
     s1, s2 = svd.sigma
     # Constant values are given the shape of s1 (a float, or an array over

@@ -132,11 +132,15 @@ class NeoHookeanSheet:
     """Incompressible neo-Hookean sheet: psi = mu/2 * (I2 + 1/I3^2 - 3).
 
     The inverse-square area term stands in for the eliminated thickness
-    stretch, so the domain requires I3 >= i3_floor > 0.
+    stretch, so the domain requires I3 >= i3_floor, a finite floor > 0.
     """
 
     mu: float
     i3_floor: float = 1e-6
+
+    def __post_init__(self):
+        if not (np.isfinite(self.i3_floor) and self.i3_floor > 0.0):
+            raise ValueError(f"i3_floor must be finite and > 0, got {self.i3_floor}")
 
     def derivs(self, inv):
         _check_floor(inv.i3, self.i3_floor)
@@ -290,14 +294,10 @@ def sheet_eigensystem(mu, svd, i3_floor=1e-6):
     # stable quotient below equals beta + gamma.
     vp = (16.0 * i3 * i3 / (gamma - beta), 4.0 * i3)
     vm = (gamma - beta, -4.0 * i3)  # -(beta - gamma, 4 I3)
+    # Both norms are at least 4 I3 > 0.  Same sign canonicalization as the
+    # generic 2x2 route: first component positive (gamma - beta > 0).
     np_ = np.sqrt(vp[0] * vp[0] + vp[1] * vp[1])
     nm = np.sqrt(vm[0] * vm[0] + vm[1] * vm[1])
-    if np.count_nonzero((np_ < 1e-12) | (nm < 1e-12)):
-        # Guarded fallback; unreachable for I3 >= i3_floor.
-        d = NeoHookeanSheet(mu, i3_floor).derivs(invariants(svd))
-        return _assemble_eigensystem(d, svd)
-    # Same sign canonicalization as the generic 2x2 route: first component
-    # positive (gamma - beta > 0 whenever I3 is above the floor).
     values = (lam_plus, lam_minus, lam_twist, lam_flip, lam_n1, lam_n2)
     coeffs = _slot_coeffs((vp[0] / np_, vp[1] / np_), (vm[0] / nm, vm[1] / nm))
     return _eigensystem6(svd, values, coeffs)

@@ -293,7 +293,7 @@ def test_criterion_7_stretch_scene_solve(tmp_path):
 
 
 def test_criterion_8_analytic_beats_fd_oracle():
-    report = me.run_bench(trials=200, seed=0)
+    report = me.run_bench(trials=200)
     ok = report.speedup >= 5.0
     assert _report(
         8, ok, f"analytic eigensystem {report.analytic_ns:.0f} ns/call vs "

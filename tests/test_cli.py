@@ -121,6 +121,24 @@ def test_check_failure_exit_code(capsys, monkeypatch):
     assert "counterexample:" in out
 
 
+def test_check_json_is_strict_when_an_error_is_nan(capsys, monkeypatch):
+    def nan_hvp(svd, fdot):
+        nan = np.full((3, 2), np.nan)
+        return nan, nan, nan
+
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+
+    invariants_module = sys.modules["membrane_eig.invariants"]
+    monkeypatch.setattr(invariants_module, "invariant_hvp", nan_hvp)
+    code, out, _ = run_cli(capsys, "check", "--seed", "1", "--trials", "20", "--json")
+    assert code == 1
+    payload = json.loads(out, parse_constant=reject)
+    failed = {c["name"]: c for c in payload["checks"] if not c["passed"]}
+    assert failed["invariant_hvp_fd"]["max_error"] is None
+    assert payload["all_passed"] is False
+
+
 def test_solve_scene_cli(capsys, stretch_scene):
     code, out, err = run_cli(capsys, "solve", "--scene", str(stretch_scene))
     assert code == 0
@@ -148,6 +166,17 @@ def test_solve_negative_max_iters_writes_nothing(capsys, stretch_scene):
     assert code == 2
     assert out == ""
     assert err.startswith("error:")
+    assert not (stretch_scene.parent / spec["output_dir"]).exists()
+
+
+def test_solve_zero_i3_floor_writes_nothing(capsys, stretch_scene):
+    spec = json.loads(stretch_scene.read_text())
+    spec["model"]["i3_floor"] = 0.0
+    stretch_scene.write_text(json.dumps(spec))
+    code, out, err = run_cli(capsys, "solve", "--scene", str(stretch_scene))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "i3_floor" in err
     assert not (stretch_scene.parent / spec["output_dir"]).exists()
 
 

@@ -1,5 +1,7 @@
 """Triangle membrane elements, assembly, and the projected-Newton solver."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -373,6 +375,32 @@ def test_linear_solve_failure_surfaces(monkeypatch):
     monkeypatch.setattr(fem.spla, "splu", always_fails)
     with pytest.raises(me.LinearSolveFailed):
         me.newton_solve(problem, x)
+
+
+def test_newton_factors_once_per_step_from_flat_rest(tmp_path, monkeypatch):
+    # Flat rest leaves the clamped Hessian singular along the normal modes;
+    # the shifted system factors on the first attempt.
+    calls, failures = [], []
+    original = fem.spla.splu
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        try:
+            return original(*args, **kwargs)
+        except RuntimeError:
+            failures.append(1)
+            raise
+
+    monkeypatch.setattr(fem.spla, "splu", counting)
+    stretch, x0, _, _ = me.load_scene(build_stretch_scene(tmp_path))
+    drape, y0, _, _ = me.load_scene(build_stretch_scene(tmp_path, 6, 6, stretch=1.4))
+    drape = dataclasses.replace(drape, gravity=np.array([0.0, 0.0, -0.01]))
+    for problem, start in ((stretch, x0), (drape, y0)):
+        calls.clear()
+        _, report = me.newton_solve(problem, start)
+        assert report.termination == "converged"
+        assert not failures
+        assert len(calls) == report.iterations > 0
 
 
 def test_solve_report_to_dict():

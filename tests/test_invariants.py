@@ -122,6 +122,8 @@ def test_eigensystem_i2_identity_times_two():
     assert np.max(np.abs(q @ q.T - np.eye(6))) < 1e-12
     x = np.array([[0.5, 1.0], [-0.2, 0.8], [1.4, -0.6]])
     assert np.max(np.abs(eig.apply(x) - 2.0 * x)) < 1e-12
+    # Slots 2-5 are twist, flip and the normals, as in every eigensystem.
+    assert np.array_equal(eig.matrices[2:], invariant_eigensystem("I3", s).matrices[2:])
 
 
 def test_eigensystem_i3_diag21(diag21):

@@ -83,6 +83,9 @@ def test_sheet_domain_floor():
     with pytest.raises(DomainError):
         custom.derivs(Invariants(i1=1.0, i2=1.0, i3=0.4))
     custom.derivs(Invariants(i1=1.5, i2=1.3, i3=0.6))
+    for floor in (0.0, -1e-6, np.nan, np.inf):
+        with pytest.raises(ValueError, match="i3_floor"):
+            NeoHookeanSheet(1.0, i3_floor=floor)
 
 
 def test_energy_gradient_diag21(diag21):
