@@ -50,7 +50,7 @@ def run_bench(trials=200):
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(_SEED)
-    fs = [random_f_admissible(rng) for _ in range(trials)]
+    fs = [random_f_admissible(rng)[0] for _ in range(trials)]
     model = NeoHookeanSheet(_MU)
 
     def psi(f):

@@ -35,6 +35,17 @@ def _parse_f(text):
     return np.array([float(p) for p in parts]).reshape(3, 2)
 
 
+def _trials(text):
+    # --trials: an integer >= 1, or an argparse error (exit 2).
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
 def _format_eig(label, f, eig, as_json):
     if as_json:
         payload = {
@@ -58,10 +69,10 @@ def _format_eig(label, f, eig, as_json):
 def _cmd_eigs(args):
     try:
         f = _parse_f(args.f)
+        svd = svd32(f)
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    svd = svd32(f)
     try:
         if args.invariant is not None:
             eig = invariant_eigensystem(args.invariant, svd)
@@ -148,7 +159,7 @@ def _build_parser():
 
     p_check = sub.add_parser("check", help="run the verification suite")
     p_check.add_argument("--seed", type=int, default=42)
-    p_check.add_argument("--trials", type=int, default=1000)
+    p_check.add_argument("--trials", type=_trials, default=1000)
     p_check.add_argument("--json", action="store_true")
     p_check.set_defaults(fn=_cmd_check)
 
@@ -157,7 +168,7 @@ def _build_parser():
     p_solve.set_defaults(fn=_cmd_solve)
 
     p_bench = sub.add_parser("bench", help="time analytic vs oracle spectra")
-    p_bench.add_argument("--trials", type=int, default=200)
+    p_bench.add_argument("--trials", type=_trials, default=200)
     p_bench.set_defaults(fn=_cmd_bench)
     return parser
 

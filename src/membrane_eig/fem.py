@@ -193,13 +193,16 @@ class MembraneProblem:
 
 @dataclass(frozen=True)
 class NewtonConfig:
-    """Projected-Newton parameters: stop when max|g| <= ``tol``, or after
-    ``max_iters`` Newton steps."""
+    """Projected-Newton parameters: stop when max|g| <= ``tol`` (>= 0), or
+    after ``max_iters`` (>= 0) Newton steps."""
 
     tol: float = 1e-8
     max_iters: int = 100
 
     def __post_init__(self):
+        # No gradient meets a NaN tol; tol = 0 ends at the roundoff floor.
+        if not self.tol >= 0.0:
+            raise ValueError(f"tol must be >= 0, got {self.tol}")
         if self.max_iters < 0:
             raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
 

@@ -172,10 +172,6 @@ def invariant_gradients(svd, f):
     return g1, g2, g3
 
 
-def _rotated(svd, fdot):
-    return svd.u.T @ np.asarray(fdot, dtype=float) @ svd.v
-
-
 def _hvp_i1(svd, w):
     # w = U^T Fdot V.  Divides by sigma1 + sigma2, sigma1, sigma2.
     s1, s2 = svd.sigma
@@ -223,7 +219,7 @@ def invariant_hvp(svd, fdot):
     """
     fdot = np.asarray(fdot, dtype=float)
     _require(svd, "I1")
-    w = _rotated(svd, fdot)
+    w = svd.rotate(fdot)
     h1 = _hvp_i1(svd, w)
     h2 = 2.0 * fdot
     _require(svd, "I3")

@@ -8,8 +8,9 @@ The invariants may be (E,) arrays over a stack of elements; ``derivs`` then
 answers with arrays and raises DomainError naming the first element outside
 the domain.  The eigensystem functions, ``project_psd`` and
 ``energy_gradient`` take one decomposition or a stack of them through the
-same code; ``energy_hvp`` takes one.  The generic assembler ``energy_eigensystem`` turns those scalars into the
-full six-pair Hessian eigensystem of psi(F):
+same code; ``energy_hvp`` takes one.  The generic assembler
+``energy_eigensystem`` turns those scalars into the full six-pair Hessian
+eigensystem of psi(F):
 
 * twist, flip and the two normal modes are always eigenmatrices, with
 
@@ -52,7 +53,6 @@ from .invariants import (
     _hvp_i3,
     _pack,
     _require,
-    _rotated,
     _slot_coeffs,
     invariant_gradients,
     invariants,
@@ -133,12 +133,15 @@ class NeoHookeanSheet:
 
     The inverse-square area term stands in for the eliminated thickness
     stretch, so the domain requires I3 >= i3_floor, a finite floor > 0.
+    The stiffness ``mu`` must be finite and > 0 as well.
     """
 
     mu: float
     i3_floor: float = 1e-6
 
     def __post_init__(self):
+        if not (np.isfinite(self.mu) and self.mu > 0.0):
+            raise ValueError(f"mu must be finite and > 0, got {self.mu}")
         if not (np.isfinite(self.i3_floor) and self.i3_floor > 0.0):
             raise ValueError(f"i3_floor must be finite and > 0, got {self.i3_floor}")
 
@@ -184,7 +187,7 @@ def energy_hvp(model, svd, fdot):
     if d.f2 != 0.0:
         out += (2.0 * d.f2) * fdot
     if d.f1 != 0.0 or d.f3 != 0.0:
-        w = _rotated(svd, fdot)
+        w = svd.rotate(fdot)
         if d.f1 != 0.0:
             _require(svd, "I1")
             out += d.f1 * _hvp_i1(svd, w)

@@ -28,20 +28,32 @@ from .models import NeoHookeanSheet
 __all__ = ["load_scene", "solve_scene", "solve_and_export"]
 
 
+def _field(spec, key, where):
+    """``spec[key]``, or a ValueError if ``where`` is not a JSON object or
+    has no ``key``."""
+    if not isinstance(spec, dict):
+        raise ValueError(f"{where} must be a JSON object")
+    if key not in spec:
+        raise ValueError(f"{where} has no {key!r}")
+    return spec[key]
+
+
 def _build_model(spec):
-    kind = spec.get("type")
-    if kind == "neo_hookean_sheet":
-        kwargs = {"mu": float(spec["mu"])}
-        if "i3_floor" in spec:
-            kwargs["i3_floor"] = float(spec["i3_floor"])
-        return NeoHookeanSheet(**kwargs)
-    raise ValueError(
-        f"unknown model type {kind!r}; supported: 'neo_hookean_sheet'"
-    )
+    kind = _field(spec, "type", "model")
+    if kind != "neo_hookean_sheet":
+        raise ValueError(
+            f"unknown model type {kind!r}; supported: 'neo_hookean_sheet'"
+        )
+    kwargs = {"mu": float(_field(spec, "mu", "model"))}
+    if "i3_floor" in spec:
+        kwargs["i3_floor"] = float(spec["i3_floor"])
+    return NeoHookeanSheet(**kwargs)
 
 
 def load_scene(path):
     """Parse a scene file.
+
+    Raises ValueError naming the key when a required field is missing.
 
     Returns
     -------
@@ -54,11 +66,14 @@ def load_scene(path):
         spec = json.load(fh)
     base = path.parent
 
-    positions, triangles = load_obj(base / spec["mesh"])
-    model = _build_model(spec.get("model", {}))
+    positions, triangles = load_obj(base / _field(spec, "mesh", "scene"))
+    model = _build_model(_field(spec, "model", "scene"))
     pins = [
-        (int(p["vertex"]), [float(x) for x in p["target"]])
-        for p in spec.get("pins", [])
+        (
+            int(_field(p, "vertex", f"pins[{k}]")),
+            [float(x) for x in _field(p, "target", f"pins[{k}]")],
+        )
+        for k, p in enumerate(spec.get("pins", []))
     ]
     problem = make_problem(
         positions,

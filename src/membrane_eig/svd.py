@@ -122,6 +122,16 @@ class Svd32:
             u, vt = u[..., None, :, :], vt[..., None, :, :]
         return u @ coeffs @ vt
 
+    def rotate(self, x):
+        """Map world-space matrices to rotated-frame coefficients: U^T @ X @ V.
+
+        The inverse of ``lift``, taking the same shapes.
+        """
+        ut, v = np.swapaxes(self.u, -1, -2), self.v
+        if np.ndim(x) > ut.ndim:
+            ut, v = ut[..., None, :, :], v[..., None, :, :]
+        return ut @ np.asarray(x, dtype=float) @ v
+
 
 @dataclass(frozen=True, eq=False)
 class SvdRates:
@@ -228,7 +238,9 @@ def svd32(f):
         u1 = wa / sa
     u2 = wb - _sum3(u1 * wb) * u1
     n2 = _norm3(u2)
-    bad = n2 <= 1e-12 * np.maximum(1.0, sa)
+    # Complete u2 only where it is roundoff (a few eps * sa): a completed u2
+    # misplaces sigma2, so a larger floor would misplace sigma2 ~ 1e-12.
+    bad = n2 <= 1e-13 * np.maximum(1.0, sa)
     if np.count_nonzero(bad):
         u2 = u2 / np.where(bad, 1.0, n2)
         u2[:, bad] = _orthogonal_completion(u1[:, bad])
@@ -291,7 +303,7 @@ def svd_rates(svd, fdot):
     if s1 - s2 <= SIGMA_EPS or s1 + s2 <= SIGMA_EPS:
         raise DegenerateRates("omega_z_alpha", svd.sigma)
 
-    w = svd.u.T @ fdot @ svd.v
+    w = svd.rotate(fdot)
     wy = -w[2, 0] / s1
     wx = w[2, 1] / s2
     # 2x2 solve for the coupled in-plane rotation rates.

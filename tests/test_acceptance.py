@@ -30,7 +30,7 @@ def _report(criterion, ok, detail):
 
 def _ensemble(sampler, seed, n=N_TRIALS):
     rng = np.random.default_rng(seed)
-    return [sampler(rng) for _ in range(n)]
+    return [sampler(rng)[0] for _ in range(n)]
 
 
 def _invariant_value(f, index):

@@ -143,6 +143,28 @@ def test_witnessless_check_reports_its_largest_error(monkeypatch):
     assert r.counterexample is None
 
 
+def test_trials_reuse_their_samples_decomposition(monkeypatch):
+    # eigen_unit_norm decomposes nothing but its sample, so every svd32
+    # call is one of the drawer's, one per raw F drawn.
+    draws, decompositions = [], []
+    random_f, svd32 = checks.random_f, checks.svd_mod.svd32
+
+    def counted_draw(rng):
+        draws.append(1)
+        return random_f(rng)
+
+    def counted_svd(f):
+        decompositions.append(1)
+        return svd32(f)
+
+    monkeypatch.setattr(checks, "random_f", counted_draw)
+    monkeypatch.setattr(checks.svd_mod, "svd32", counted_svd)
+    r = _run_only(monkeypatch, "eigen_unit_norm", seed=7, trials=30)
+    assert r.passed and r.trials == 30
+    assert len(draws) >= 30
+    assert len(decompositions) == len(draws)
+
+
 def test_registry_is_every_check_in_definition_order():
     defined = [
         value
@@ -160,7 +182,13 @@ def test_random_f_samplers():
         f = checks.random_f(rng)
         assert f.shape == (3, 2)
         assert np.all(np.abs(f) <= 2.0)
-        fn = checks.random_f_nondegenerate(rng)
-        assert me.svd32(fn).sigma[1] > 0.05
-        fa = checks.random_f_admissible(rng)
-        assert me.invariants(me.svd32(fa)).i3 > 0.05
+        fn, sn = checks.random_f_nondegenerate(rng)
+        assert sn.sigma[1] > 0.05
+        fa, sa = checks.random_f_admissible(rng)
+        assert me.invariants(sa).i3 > 0.05
+        # Each pair carries its sample's own decomposition.
+        for sample, svd in ((fn, sn), (fa, sa)):
+            expected = me.svd32(sample)
+            assert svd.sigma == expected.sigma
+            assert np.array_equal(svd.u, expected.u)
+            assert np.array_equal(svd.v, expected.v)

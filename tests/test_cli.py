@@ -180,6 +180,57 @@ def test_solve_zero_i3_floor_writes_nothing(capsys, stretch_scene):
     assert not (stretch_scene.parent / spec["output_dir"]).exists()
 
 
+# Scene edits that load_scene must reject, each with the name it reports.
+MALFORMED_SCENES = {
+    "no_mesh": (lambda spec: spec.pop("mesh"), "'mesh'"),
+    "no_mu": (lambda spec: spec["model"].pop("mu"), "'mu'"),
+    "pin_without_vertex": (lambda spec: spec["pins"][0].pop("vertex"), "'vertex'"),
+    "pin_without_target": (lambda spec: spec["pins"][0].pop("target"), "'target'"),
+    "nan_mu": (lambda spec: spec["model"].update(mu=float("nan")), "mu"),
+    "nan_tol": (lambda spec: spec.update(tol=float("nan")), "tol"),
+    "negative_tol": (lambda spec: spec.update(tol=-1e-8), "tol"),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_SCENES))
+def test_solve_malformed_scene_writes_nothing(capsys, stretch_scene, case):
+    edit, named = MALFORMED_SCENES[case]
+    spec = json.loads(stretch_scene.read_text())
+    edit(spec)
+    stretch_scene.write_text(json.dumps(spec))
+    code, out, err = run_cli(capsys, "solve", "--scene", str(stretch_scene))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and named in err
+    assert not (stretch_scene.parent / "out").exists()
+
+
+def test_solve_non_object_scene_writes_nothing(capsys, stretch_scene):
+    stretch_scene.write_text(json.dumps([json.loads(stretch_scene.read_text())]))
+    code, out, err = run_cli(capsys, "solve", "--scene", str(stretch_scene))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "JSON object" in err
+    assert not (stretch_scene.parent / "out").exists()
+
+
+def test_eigs_non_finite_f_exit_two(capsys):
+    code, out, err = run_cli(capsys, "eigs", "--f", "nan,0,0,1,0,0")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "non-finite" in err
+
+
+@pytest.mark.parametrize("command", ["check", "bench"])
+def test_zero_trials_exit_two(capsys, command):
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--trials", "0"])
+    captured = capsys.readouterr()
+    assert exit_info.value.code == 2
+    assert captured.out == ""
+    assert "error: argument --trials" in captured.err
+
+
 def test_bench_output(capsys):
     code, out, _ = run_cli(capsys, "bench", "--trials", "3")
     assert code == 0

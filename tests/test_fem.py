@@ -115,6 +115,11 @@ def test_make_problem_validation():
     for gravity in ([0.0, -1.0], [0.0, 0.0, np.nan], [[0.0, 0.0, -1.0]]):
         with pytest.raises(ValueError):
             me.make_problem(UNIT_TRIANGLE, TRI, me.NeoHookeanSheet(1.0), gravity=gravity)
+    # No gradient meets a NaN or negative tolerance; 0 is the roundoff floor.
+    for tol in (np.nan, -1e-8):
+        with pytest.raises(ValueError, match="tol"):
+            me.NewtonConfig(tol=tol)
+    assert me.NewtonConfig(tol=0.0).tol == 0.0
 
 
 def test_pin_mask_and_apply():

@@ -86,6 +86,9 @@ def test_sheet_domain_floor():
     for floor in (0.0, -1e-6, np.nan, np.inf):
         with pytest.raises(ValueError, match="i3_floor"):
             NeoHookeanSheet(1.0, i3_floor=floor)
+    for mu in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="mu"):
+            NeoHookeanSheet(mu)
 
 
 def test_energy_gradient_diag21(diag21):
@@ -176,8 +179,7 @@ def test_sheet_matches_generic_slotwise():
     model = NeoHookeanSheet(1.0)
     rng = np.random.default_rng(17)
     for _ in range(100):
-        f = random_f_admissible(rng)
-        s = svd32(f)
+        _, s = random_f_admissible(rng)
         a = sheet_eigensystem(1.0, s)
         b = energy_eigensystem(model, s)
         scale = max(1.0, float(np.max(np.abs(b.values))))
@@ -246,7 +248,7 @@ def test_project_psd_idempotent_and_psd_oracle():
     rng = np.random.default_rng(23)
     model = NeoHookeanSheet(1.0)
     for _ in range(50):
-        s = svd32(random_f_admissible(rng))
+        _, s = random_f_admissible(rng)
         proj = project_psd(energy_eigensystem(model, s))
         again = project_psd(proj)
         assert np.array_equal(again.values, proj.values)

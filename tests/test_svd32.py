@@ -174,13 +174,18 @@ def test_lifted_perturbation_roundtrip():
     s = svd32(f)
     coeffs = np.array([[0.3, -1.2], [0.8, 0.5], [-0.7, 1.6]])
     out = s.lift(coeffs)
-    back = s.u.T @ out @ s.v
+    back = s.rotate(out)
+    assert np.array_equal(back, s.u.T @ out @ s.v)
     assert np.max(np.abs(back - coeffs)) < 1e-12
+    # rotate-then-lift returns the world-space matrix.
+    assert np.max(np.abs(s.lift(s.rotate(f)) - f)) < 1e-12
     stack = np.random.default_rng(4).uniform(-2.0, 2.0, size=(6, 3, 2))
     lifted = s.lift(stack)
-    assert lifted.shape == (6, 3, 2)
-    for c, q in zip(stack, lifted):
+    rotated = s.rotate(stack)
+    assert lifted.shape == rotated.shape == (6, 3, 2)
+    for c, q, r in zip(stack, lifted, rotated):
         assert np.array_equal(q, s.lift(c))
+        assert np.array_equal(r, s.rotate(c))
 
 
 # F whose rounded ||F v_a|| falls below ||F v_b|| (a near-tie), so svd32
@@ -203,6 +208,8 @@ def _special_fs():
         SWAP_F,
         np.array([[1.0, 0.0], [0.0, 1e-13], [0.0, 0.0]]),
         np.array([[0.0, 0.0], [0.0, 0.0], [0.0, 2.9544349174516435e-157]]),
+        # sigma2 = 1e-12: a real u2, not a completion that misplaces sigma2.
+        np.array([[0.0, 0.0], [1e-12, 0.0], [0.0, 1.0]]),
     ]
 
 
