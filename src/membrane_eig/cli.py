@@ -67,13 +67,12 @@ def _format_eig(label, f, eig, as_json):
 
 
 def _cmd_eigs(args):
+    # Both failures are ValueErrors: a degenerate or inadmissible F is a
+    # well-formed input with no answer (exit 1), any other is malformed
+    # input (exit 2).
     try:
         f = _parse_f(args.f)
         svd = svd32(f)
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    try:
         if args.invariant is not None:
             eig = invariant_eigensystem(args.invariant, svd)
             label = args.invariant
@@ -83,6 +82,9 @@ def _cmd_eigs(args):
     except (DegenerateHessian, DomainError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
+    except ValueError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
     print(_format_eig(label, f, eig, args.json))
     return 0
 
@@ -119,7 +121,7 @@ def _cmd_solve(args):
     except (OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except (LineSearchFailed, LinearSolveFailed, DomainError) as err:
+    except (LineSearchFailed, LinearSolveFailed) as err:
         print(f"solver error: {err}", file=sys.stderr)
         return 1
     final = report.history[-1]

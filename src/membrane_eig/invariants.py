@@ -215,16 +215,12 @@ def invariant_hvp(svd, fdot):
     Raises
     ------
     DegenerateHessian
-        Naming the first invariant whose sigma requirement fails.
+        Naming I1 when the singular values are degenerate.
     """
     fdot = np.asarray(fdot, dtype=float)
     _require(svd, "I1")
     w = svd.rotate(fdot)
-    h1 = _hvp_i1(svd, w)
-    h2 = 2.0 * fdot
-    _require(svd, "I3")
-    h3 = _hvp_i3(svd, w)
-    return h1, h2, h3
+    return _hvp_i1(svd, w), 2.0 * fdot, _hvp_i3(svd, w)
 
 
 def invariant_eigensystem(which, svd):

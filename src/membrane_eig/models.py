@@ -31,8 +31,9 @@ eigensystem of psi(F):
 
     psi = mu/2 * (I2 + 1/I3^2 - 3)
 
-whose volume term penalizes area change; its eigensystem also has fully
-closed forms (``sheet_eigensystem``), including the reduced 2x2 block
+whose volume term penalizes area change, for a finite mu > 0 on the fixed
+domain I3 >= I3_FLOOR = 1e-6; its eigensystem also has fully closed forms
+(``sheet_eigensystem``), including the reduced 2x2 block
 
     A = mu * Id + mu/I3^4 * [[3 s2^2, 2 I3], [2 I3, 3 s1^2]]
 
@@ -49,16 +50,16 @@ import numpy as np
 from .invariants import (
     EigenSystem6,
     _eigensystem6,
-    _hvp_i1,
-    _hvp_i3,
     _pack,
     _require,
     _slot_coeffs,
     invariant_gradients,
+    invariant_hvp,
     invariants,
 )
 
 __all__ = [
+    "I3_FLOOR",
     "DomainError",
     "ModelDerivs",
     "NeoHookeanSheet",
@@ -68,6 +69,9 @@ __all__ = [
     "sheet_eigensystem",
     "project_psd",
 ]
+
+# The sheet's domain is I3 >= I3_FLOOR; its 1/I3^2 area term blows up at 0.
+I3_FLOOR = 1e-6
 
 
 class DomainError(ValueError):
@@ -82,18 +86,24 @@ class DomainError(ValueError):
         super().__init__(message)
 
 
-def _check_floor(i3, i3_floor):
-    """Raise DomainError if I3 (a float or an array) is below the floor."""
-    bad = i3 < i3_floor
+def _check_mu(mu):
+    """Raise ValueError unless the stiffness ``mu`` is finite and > 0."""
+    if not (np.isfinite(mu) and mu > 0.0):
+        raise ValueError(f"mu must be finite and > 0, got {mu}")
+
+
+def _check_floor(i3):
+    """Raise DomainError if I3 (a float or an array) is below I3_FLOOR."""
+    bad = i3 < I3_FLOOR
     if not np.count_nonzero(bad):
         return
     if np.ndim(bad):
         k = int(np.flatnonzero(bad)[0])
         raise DomainError(
-            f"element {k}: I3 = {np.ravel(i3)[k]} below the sheet floor {i3_floor}",
+            f"element {k}: I3 = {np.ravel(i3)[k]} below the sheet floor {I3_FLOOR}",
             element=k,
         )
-    raise DomainError(f"I3 = {i3} below the sheet floor {i3_floor}")
+    raise DomainError(f"I3 = {i3} below the sheet floor {I3_FLOOR}")
 
 
 @dataclass(frozen=True)
@@ -131,22 +141,16 @@ class ModelDerivs:
 class NeoHookeanSheet:
     """Incompressible neo-Hookean sheet: psi = mu/2 * (I2 + 1/I3^2 - 3).
 
-    The inverse-square area term stands in for the eliminated thickness
-    stretch, so the domain requires I3 >= i3_floor, a finite floor > 0.
-    The stiffness ``mu`` must be finite and > 0 as well.
+    The stiffness ``mu`` must be finite and > 0; the domain is I3 >= I3_FLOOR.
     """
 
     mu: float
-    i3_floor: float = 1e-6
 
     def __post_init__(self):
-        if not (np.isfinite(self.mu) and self.mu > 0.0):
-            raise ValueError(f"mu must be finite and > 0, got {self.mu}")
-        if not (np.isfinite(self.i3_floor) and self.i3_floor > 0.0):
-            raise ValueError(f"i3_floor must be finite and > 0, got {self.i3_floor}")
+        _check_mu(self.mu)
 
     def derivs(self, inv):
-        _check_floor(inv.i3, self.i3_floor)
+        _check_floor(inv.i3)
         mu = self.mu
         r = 1.0 / inv.i3
         r2 = r * r
@@ -177,9 +181,9 @@ def energy_gradient(model, svd, f):
 def energy_hvp(model, svd, fdot):
     """Hessian-vector product of psi(F) applied to fdot.
 
-    Assembles sum_k f_k (H_k : fdot) + sum_kl f_kl (g_l : fdot) g_k, touching
-    only the invariant Hessians whose coefficients are nonzero, so a pure-I2
-    model works at any decomposition.
+    Assembles sum_k f_k (H_k : fdot) + sum_kl f_kl (g_l : fdot) g_k, with
+    H_k : fdot from ``invariant_hvp``.  That call is made only when f1 or f3
+    is nonzero, so a pure-I2 model works at any decomposition.
     """
     fdot = np.asarray(fdot, dtype=float)
     d = model.derivs(invariants(svd))
@@ -187,13 +191,11 @@ def energy_hvp(model, svd, fdot):
     if d.f2 != 0.0:
         out += (2.0 * d.f2) * fdot
     if d.f1 != 0.0 or d.f3 != 0.0:
-        w = svd.rotate(fdot)
+        h1, _, h3 = invariant_hvp(svd, fdot)
         if d.f1 != 0.0:
-            _require(svd, "I1")
-            out += d.f1 * _hvp_i1(svd, w)
+            out += d.f1 * h1
         if d.f3 != 0.0:
-            _require(svd, "I3")
-            out += d.f3 * _hvp_i3(svd, w)
+            out += d.f3 * h3
     sp = d.second_partials()
     if sp.any():
         g = np.stack(invariant_gradients(svd, svd.reconstruct()))
@@ -265,7 +267,7 @@ def energy_eigensystem(model, svd):
     return _assemble_eigensystem(model.derivs(invariants(svd)), svd)
 
 
-def sheet_eigensystem(mu, svd, i3_floor=1e-6):
+def sheet_eigensystem(mu, svd):
     """Closed-form Hessian eigensystem of the neo-Hookean sheet.
 
     Agrees with ``energy_eigensystem(NeoHookeanSheet(mu), svd)`` but uses the
@@ -274,11 +276,13 @@ def sheet_eigensystem(mu, svd, i3_floor=1e-6):
     mu + mu (3 I2 +- gamma) / (2 I3^4); the (beta + gamma, 4 I3) direction
     carries the larger one.  beta + gamma is evaluated as
     16 I3^2 / (gamma - beta) to dodge cancellation when I3 is small.
-    ``svd`` may be a stack of decompositions.
+    ``svd`` may be a stack of decompositions.  Raises ValueError unless
+    ``mu`` is finite and > 0, and DomainError below I3_FLOOR.
     """
+    _check_mu(mu)
     s1, s2 = svd.sigma
     i3 = s1 * s2
-    _check_floor(i3, i3_floor)
+    _check_floor(i3)
     i2 = s1 * s1 + s2 * s2
     r3 = mu / (i3 * i3 * i3)
 

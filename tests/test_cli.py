@@ -76,9 +76,11 @@ def test_eigs_degenerate_exit_one(capsys):
 
 
 def test_eigs_sheet_domain_floor_exit_one(capsys):
-    code, _, err = run_cli(capsys, "eigs", "--f", "1e-5,0,0,1e-5,0,0")
-    assert code == 1
-    assert "error:" in err
+    # A DomainError is a ValueError too, but a below-floor F is well formed.
+    for mu in ("1.0", "2.5"):
+        code, _, err = run_cli(capsys, "eigs", "--f", "1e-5,0,0,1e-5,0,0", "--mu", mu)
+        assert code == 1
+        assert err.startswith("error:") and "below the sheet floor" in err
 
 
 def test_check_text_and_exit(capsys):
@@ -189,6 +191,17 @@ MALFORMED_SCENES = {
     "nan_mu": (lambda spec: spec["model"].update(mu=float("nan")), "mu"),
     "nan_tol": (lambda spec: spec.update(tol=float("nan")), "tol"),
     "negative_tol": (lambda spec: spec.update(tol=-1e-8), "tol"),
+    # Each field must have its JSON type; a value of another type is
+    # rejected, neither coerced nor left to fail later.
+    "null_mesh": (lambda spec: spec.update(mesh=None), "'mesh'"),
+    "null_mu": (lambda spec: spec["model"].update(mu=None), "'mu'"),
+    "number_pins": (lambda spec: spec.update(pins=5), "'pins'"),
+    "number_target": (lambda spec: spec["pins"][0].update(target=3), "'target'"),
+    "number_output_dir": (lambda spec: spec.update(output_dir=5), "'output_dir'"),
+    "fractional_vertex": (lambda spec: spec["pins"][0].update(vertex=1.7), "'vertex'"),
+    "fractional_max_iters": (lambda spec: spec.update(max_iters=2.5), "'max_iters'"),
+    "bool_tol": (lambda spec: spec.update(tol=True), "'tol'"),
+    "string_gravity": (lambda spec: spec.update(gravity=["0", "0", "-1"]), "'gravity'"),
 }
 
 
@@ -212,6 +225,14 @@ def test_solve_non_object_scene_writes_nothing(capsys, stretch_scene):
     assert out == ""
     assert err.startswith("error:") and "JSON object" in err
     assert not (stretch_scene.parent / "out").exists()
+
+
+@pytest.mark.parametrize("mu", ["nan", "0", "-1", "inf"])
+def test_eigs_bad_mu_exit_two(capsys, mu):
+    code, out, err = run_cli(capsys, "eigs", "--f", DIAG21, "--mu", mu)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "mu must be finite and > 0" in err
 
 
 def test_eigs_non_finite_f_exit_two(capsys):

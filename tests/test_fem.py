@@ -253,7 +253,7 @@ def test_assemble_matches_scalar_route(seed):
         mu_scale=rng.uniform(0.5, 2.0, len(tris)),
     )
     routes = (
-        lambda s: me.sheet_eigensystem(model.mu, s, model.i3_floor),
+        lambda s: me.sheet_eigensystem(model.mu, s),
         lambda s: me.energy_eigensystem(model, s),
     )
     for project in (True, False):

@@ -24,6 +24,7 @@ from membrane_eig import (
     svd32,
 )
 from membrane_eig.checks import random_f_admissible
+from membrane_eig.models import I3_FLOOR
 
 R = math.sqrt(0.5)
 LAM_PLUS_21 = 1.0 + (15.0 + math.sqrt(145.0)) / 32.0
@@ -79,16 +80,22 @@ def test_sheet_domain_floor():
     model = NeoHookeanSheet(1.0)
     with pytest.raises(DomainError):
         model.derivs(Invariants(i1=1.0, i2=1.0, i3=1e-7))
-    custom = NeoHookeanSheet(1.0, i3_floor=0.5)
+    # The floor is the constant I3_FLOOR, and I3 on it is admissible.
+    model.derivs(Invariants(i1=1.0, i2=1.0, i3=I3_FLOOR))
     with pytest.raises(DomainError):
-        custom.derivs(Invariants(i1=1.0, i2=1.0, i3=0.4))
-    custom.derivs(Invariants(i1=1.5, i2=1.3, i3=0.6))
-    for floor in (0.0, -1e-6, np.nan, np.inf):
-        with pytest.raises(ValueError, match="i3_floor"):
-            NeoHookeanSheet(1.0, i3_floor=floor)
+        model.derivs(Invariants(i1=1.0, i2=1.0, i3=np.nextafter(I3_FLOOR, 0.0)))
     for mu in (0.0, -1.0, np.nan, np.inf):
         with pytest.raises(ValueError, match="mu"):
             NeoHookeanSheet(mu)
+
+
+@pytest.mark.parametrize("mu", [0.0, -1.0, np.nan, np.inf])
+def test_sheet_eigensystem_rejects_bad_mu(diag21, mu):
+    # The same check as NeoHookeanSheet's, and not a DomainError: a bad mu
+    # is malformed input, not an F outside the domain.
+    with pytest.raises(ValueError, match="mu must be finite and > 0") as exc:
+        sheet_eigensystem(mu, diag21[1])
+    assert not isinstance(exc.value, DomainError)
 
 
 def test_energy_gradient_diag21(diag21):
@@ -218,8 +225,11 @@ def test_sheet_domain_floor_and_fallback_guard():
     f = np.array([[1e-4, 0.0], [0.0, 1e-4], [0.0, 0.0]])
     with pytest.raises(DomainError):
         sheet_eigensystem(1.0, svd32(f))
-    eig = sheet_eigensystem(1.0, svd32(f), i3_floor=1e-9)
+    # Just above the floor (I3 = 2e-6) the spectrum is huge but finite.
+    g = np.array([[2e-3, 0.0], [0.0, 1e-3], [0.0, 0.0]])
+    eig = sheet_eigensystem(1.0, svd32(g))
     assert np.all(np.isfinite(eig.values))
+    assert np.all(np.isfinite(eig.matrices))
 
 
 def test_project_psd_clamps_i3(diag21):
