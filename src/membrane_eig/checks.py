@@ -238,9 +238,11 @@ def _check_invariant_hvp_fd(rng, f, s):
     h = 1e-5
     fdot = _unit_fdot(rng)
     hvps = inv_mod.invariant_hvp(s, fdot)
-    gp = inv_mod.invariant_gradients(svd_mod.svd32(f + h * fdot), f + h * fdot)
-    gm = inv_mod.invariant_gradients(svd_mod.svd32(f - h * fdot), f - h * fdot)
-    return [np.max(np.abs((gp[k] - gm[k]) / (2.0 * h) - hvps[k])) for k in range(3)]
+    x = np.stack([f + h * fdot, f - h * fdot])
+    g = inv_mod.invariant_gradients(svd_mod.svd32(x), x)
+    return [
+        np.max(np.abs((g[k][0] - g[k][1]) / (2.0 * h) - hvps[k])) for k in range(3)
+    ]
 
 
 @_check(1e-12, random_f_nondegenerate)

@@ -1,6 +1,12 @@
 """Independent numerical oracles: finite differences and a dense symmetric
 eigensolver.  Everything here is deliberately decoupled from the closed
 forms it is used to check.
+
+The finite-difference oracles take a function ``fn`` that maps an
+(n, 3, 2) stack of deformation gradients to its n scalar values, and call
+it once per oracle call on the whole perturbation stack.  Their results
+equal, bitwise, what a loop calling ``fn`` on one F at a time would give,
+as long as ``fn`` treats each member of a stack as it would treat it alone.
 """
 
 from dataclasses import dataclass
@@ -31,55 +37,91 @@ class Spectrum6:
     vectors: np.ndarray
 
 
-def fd_gradient(fn, f, h=1e-5):
-    """Central-difference gradient of a scalar function of a 3x2 matrix."""
+def _validated(f, h):
     f = np.asarray(f, dtype=float)
-    out = np.zeros((3, 2))
-    for i in range(3):
-        for j in range(2):
-            fp = f.copy()
-            fm = f.copy()
-            fp[i, j] += h
-            fm[i, j] -= h
-            out[i, j] = (fn(fp) - fn(fm)) / (2.0 * h)
-    return out
+    if f.shape != (3, 2):
+        raise ValueError(f"f must be 3x2, got shape {f.shape}")
+    h = float(h)
+    if not (np.isfinite(h) and h > 0.0):
+        raise ValueError(f"h must be finite and > 0, got {h}")
+    return f, h
+
+
+def _values(fn, x):
+    """fn's n values on the (n, 6) stack x of row-major flattened Fs."""
+    n = len(x)
+    values = np.asarray(fn(x.reshape(n, 3, 2)), dtype=float)
+    if values.shape != (n,):
+        raise ValueError(
+            f"fn must map an ({n}, 3, 2) stack to {n} values, "
+            f"got shape {values.shape}"
+        )
+    return values
+
+
+def _axis_steps(flat, h):
+    """(12, 6): the flattened F plus h e_k for k = 0..5, then minus h e_k."""
+    k = np.arange(6)
+    x = np.tile(flat, (2, 6, 1))
+    x[0, k, k] += h
+    x[1, k, k] -= h
+    return x.reshape(12, 6)
+
+
+def fd_gradient(fn, f, h=1e-5):
+    """Central-difference gradient of a scalar function of a 3x2 matrix.
+
+    ``fn`` maps an (n, 3, 2) stack to its n values.  It is called once, on
+    the 12 Fs f +- h e_k; each gradient entry is (fn(f + h e_k) -
+    fn(f - h e_k)) / (2 h), exactly as a loop over single Fs would form it.
+
+    Raises
+    ------
+    ValueError
+        If f is not 3x2, h is not finite and > 0, or fn does not return
+        exactly 12 values.
+    """
+    f, h = _validated(f, h)
+    plus, minus = _values(fn, _axis_steps(f.reshape(6), h)).reshape(2, 6)
+    return ((plus - minus) / (2.0 * h)).reshape(3, 2)
 
 
 def fd_hessian6(fn, f, h=1e-4):
     """Central second-difference 6x6 Hessian over row-major flattening.
 
+    ``fn`` maps an (n, 3, 2) stack to its n values.  It is called once, on
+    73 Fs: f itself, f +- h e_i for the diagonal, and the four corners
+    f +- h e_i +- h e_j of each pair i < j.  The differences are formed with
+    the same operands in the same order as a loop over single Fs.
+
     The default step is larger than fd_gradient's because second differences
     divide by h^2; at h = 1e-5 roundoff alone would exceed most of the
     tolerances this oracle certifies.  Output is symmetrized.
+
+    Raises
+    ------
+    ValueError
+        If f is not 3x2, h is not finite and > 0, or fn does not return
+        exactly 73 values.
     """
-    f = np.asarray(f, dtype=float).reshape(6).copy()
-
-    def at(x):
-        return fn(x.reshape(3, 2))
-
+    f, h = _validated(f, h)
+    flat = f.reshape(6)
+    i, j = np.triu_indices(6, k=1)
+    pair = np.arange(len(i))
+    corner = np.tile(flat, (4, len(i), 1))  # [pp/pm/mp/mm, pair, entry]
+    for c, (si, sj) in enumerate(((h, h), (h, -h), (-h, h), (-h, -h))):
+        corner[c, pair, i] += si
+        corner[c, pair, j] += sj
+    x = np.concatenate([flat[None], _axis_steps(flat, h), corner.reshape(-1, 6)])
+    values = _values(fn, x)
+    f0 = values[0]
+    plus, minus = values[1:13].reshape(2, 6)
+    pp, pm, mp, mm = values[13:].reshape(4, len(i))
     out = np.zeros((6, 6))
-    f0 = at(f)
-    for i in range(6):
-        xp = f.copy()
-        xm = f.copy()
-        xp[i] += h
-        xm[i] -= h
-        out[i, i] = (at(xp) - 2.0 * f0 + at(xm)) / (h * h)
-        for j in range(i + 1, 6):
-            xpp = f.copy()
-            xpm = f.copy()
-            xmp = f.copy()
-            xmm = f.copy()
-            xpp[i] += h
-            xpp[j] += h
-            xpm[i] += h
-            xpm[j] -= h
-            xmp[i] -= h
-            xmp[j] += h
-            xmm[i] -= h
-            xmm[j] -= h
-            out[i, j] = (at(xpp) - at(xpm) - at(xmp) + at(xmm)) / (4.0 * h * h)
-            out[j, i] = out[i, j]
+    k = np.arange(6)
+    out[k, k] = (plus - 2.0 * f0 + minus) / (h * h)
+    out[i, j] = (pp - pm - mp + mm) / (4.0 * h * h)
+    out[j, i] = out[i, j]
     return 0.5 * (out + out.T)
 
 

@@ -5,13 +5,15 @@ import numpy as np
 import pytest
 
 from membrane_eig import NotSymmetric, fd_gradient, fd_hessian6, jacobi_eigen_sym
+from membrane_eig.checks import _invariant_fn, _sheet_psi, random_f_admissible
 
 F0 = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
 
 
 def quartic(f):
-    # psi = (F:F)^2, gradient 4 (F:F) F, Hessian 8 vec vec^T + 4 (F:F) Id
-    s = float(np.sum(f * f))
+    # psi = (F:F)^2, gradient 4 (F:F) F, Hessian 8 vec vec^T + 4 (F:F) Id;
+    # one value per member of an (n, 3, 2) stack.
+    s = np.sum(f * f, axis=(-2, -1))
     return s * s
 
 
@@ -23,7 +25,7 @@ def test_fd_gradient_quartic():
 
 def test_fd_gradient_linear_is_exact():
     direction = np.array([[1.0, -2.0], [0.5, 3.0], [-1.0, 0.25]])
-    grad = fd_gradient(lambda f: float(np.sum(direction * f)), F0)
+    grad = fd_gradient(lambda f: np.sum(direction * f, axis=(-2, -1)), F0)
     assert np.max(np.abs(grad - direction)) < 1e-9
 
 
@@ -39,12 +41,111 @@ def test_fd_hessian6_quartic():
 def test_fd_hessian6_quadratic_row_major_layout():
     # psi touching only F[0,1] (flat index 1) and F[2,0] (flat index 4)
     def psi(f):
-        return 3.0 * f[0, 1] * f[2, 0]
+        return 3.0 * f[..., 0, 1] * f[..., 2, 0]
 
     dense = fd_hessian6(psi, np.zeros((3, 2)))
     expected = np.zeros((6, 6))
     expected[1, 4] = expected[4, 1] = 3.0
     assert np.max(np.abs(dense - expected)) < 1e-9
+
+
+def _loop_fd_gradient(fn, f, h):
+    # The per-F reference: one fn call per perturbed F.
+    out = np.zeros((3, 2))
+    for i in range(3):
+        for j in range(2):
+            fp = f.copy()
+            fm = f.copy()
+            fp[i, j] += h
+            fm[i, j] -= h
+            out[i, j] = (fn(fp) - fn(fm)) / (2.0 * h)
+    return out
+
+
+def _loop_fd_hessian6(fn, f, h):
+    f = f.reshape(6).copy()
+
+    def at(x):
+        return fn(x.reshape(3, 2))
+
+    out = np.zeros((6, 6))
+    f0 = at(f)
+    for i in range(6):
+        xp = f.copy()
+        xm = f.copy()
+        xp[i] += h
+        xm[i] -= h
+        out[i, i] = (at(xp) - 2.0 * f0 + at(xm)) / (h * h)
+        for j in range(i + 1, 6):
+            xpp = f.copy()
+            xpm = f.copy()
+            xmp = f.copy()
+            xmm = f.copy()
+            xpp[i] += h
+            xpp[j] += h
+            xpm[i] += h
+            xpm[j] -= h
+            xmp[i] -= h
+            xmp[j] += h
+            xmm[i] -= h
+            xmm[j] -= h
+            out[i, j] = (at(xpp) - at(xpm) - at(xmp) + at(xmm)) / (4.0 * h * h)
+            out[j, i] = out[i, j]
+    return 0.5 * (out + out.T)
+
+
+class _Counting:
+    def __init__(self, fn):
+        self.fn = fn
+        self.calls = 0
+
+    def __call__(self, x):
+        self.calls += 1
+        return self.fn(x)
+
+
+@pytest.mark.parametrize("name", ["sheet", "I1", "I2", "I3"])
+def test_batched_oracles_equal_per_f_loops_bitwise(name):
+    fn = _sheet_psi if name == "sheet" else _invariant_fn(name)
+    rng = np.random.default_rng(2024)
+    for _ in range(4):
+        f, _ = random_f_admissible(rng)
+        for h in (1e-3, 1e-4, 1e-5):
+            for oracle, loop in (
+                (fd_gradient, _loop_fd_gradient),
+                (fd_hessian6, _loop_fd_hessian6),
+            ):
+                counted = _Counting(fn)
+                fast = oracle(counted, f, h=h)
+                assert counted.calls == 1
+                assert np.array_equal(fast, loop(fn, f, h))
+
+
+@pytest.mark.parametrize("oracle", [fd_gradient, fd_hessian6])
+def test_oracles_reject_a_non_3x2_f(oracle):
+    with pytest.raises(ValueError, match="3x2"):
+        oracle(quartic, np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize("oracle", [fd_gradient, fd_hessian6])
+@pytest.mark.parametrize("h", [0.0, -1e-5, np.nan, np.inf])
+def test_oracles_reject_a_bad_step(oracle, h):
+    with pytest.raises(ValueError, match="h must be"):
+        oracle(quartic, F0, h=h)
+
+
+@pytest.mark.parametrize("oracle", [fd_gradient, fd_hessian6])
+@pytest.mark.parametrize(
+    "fn",
+    [
+        lambda f: 3.0 * f[0, 1] * f[2, 0],  # scalar-only: indexes the stack
+        lambda f: float(np.sum(f * f)),  # one value for the whole stack
+        lambda f: np.sum(f * f, axis=-1),  # (n, 3) values
+    ],
+)
+def test_oracles_reject_an_fn_that_is_not_batched(oracle, fn):
+    with pytest.raises(ValueError, match="stack"):
+        oracle(fn, F0)
 
 
 def test_jacobi_diagonal_sorted_ascending():
