@@ -297,9 +297,11 @@ def _check_eigen_orthogonality(rng, f, s):
 def _check_eigen_residual(rng, f, s):
     errors = []
     for k, which in enumerate(("I1", "I2", "I3")):
-        for lam, q in inv_mod.invariant_eigensystem(which, s).pairs():
-            hq = inv_mod.invariant_hvp(s, q)[k]
-            errors.append(np.max(np.abs(hq - lam * q)) / max(1.0, abs(lam)))
+        eig = inv_mod.invariant_eigensystem(which, s)
+        lam, q = eig.values, eig.matrices
+        hq = inv_mod.invariant_hvp(s, q)[k]
+        resid = np.max(np.abs(hq - lam[:, None, None] * q), axis=(-2, -1))
+        errors.extend(resid / np.maximum(1.0, np.abs(lam)))
     return errors
 
 
@@ -316,10 +318,9 @@ def _check_eigen_reconstruction(rng, f, s):
 @_check(1e-12, random_f_nondegenerate)
 def _check_i1_null_space(rng, f, s):
     eig = inv_mod.invariant_eigensystem("I1", s)
-    return [  # scale, opposed scale, flip
-        np.max(np.abs(inv_mod.invariant_hvp(s, eig.matrices[slot])[0]))
-        for slot in (0, 1, 3)
-    ]
+    # scale, opposed scale, flip
+    h1 = inv_mod.invariant_hvp(s, eig.matrices[[0, 1, 3]])[0]
+    return np.max(np.abs(h1), axis=(-2, -1))
 
 
 @_check(1e-12, random_f_nondegenerate)

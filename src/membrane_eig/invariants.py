@@ -173,29 +173,28 @@ def invariant_gradients(svd, f):
 
 
 def _hvp_i1(svd, w):
-    # w = U^T Fdot V.  Divides by sigma1 + sigma2, sigma1, sigma2.
+    # w = U^T Fdot V, one 3x2 or a (k, 3, 2) stack.  Divides by
+    # sigma1 + sigma2, sigma1, sigma2.
     s1, s2 = svd.sigma
     s12 = s1 + s2
-    coeffs = np.array(
-        [
-            [0.0, (w[0, 1] - w[1, 0]) / s12],
-            [(w[1, 0] - w[0, 1]) / s12, 0.0],
-            [w[2, 0] / s1, w[2, 1] / s2],
-        ]
-    )
+    coeffs = np.zeros_like(w)
+    coeffs[..., 0, 1] = (w[..., 0, 1] - w[..., 1, 0]) / s12
+    coeffs[..., 1, 0] = (w[..., 1, 0] - w[..., 0, 1]) / s12
+    coeffs[..., 2, 0] = w[..., 2, 0] / s1
+    coeffs[..., 2, 1] = w[..., 2, 1] / s2
     return svd.lift(coeffs)
 
 
 def _hvp_i3(svd, w):
     # Divides by sigma1 and sigma2.
     s1, s2 = svd.sigma
-    coeffs = np.array(
-        [
-            [w[1, 1], -w[1, 0]],
-            [-w[0, 1], w[0, 0]],
-            [(s2 / s1) * w[2, 0], (s1 / s2) * w[2, 1]],
-        ]
-    )
+    coeffs = np.empty_like(w)
+    coeffs[..., 0, 0] = w[..., 1, 1]
+    coeffs[..., 0, 1] = -w[..., 1, 0]
+    coeffs[..., 1, 0] = -w[..., 0, 1]
+    coeffs[..., 1, 1] = w[..., 0, 0]
+    coeffs[..., 2, 0] = (s2 / s1) * w[..., 2, 0]
+    coeffs[..., 2, 1] = (s1 / s2) * w[..., 2, 1]
     return svd.lift(coeffs)
 
 
@@ -207,8 +206,11 @@ def _require(svd, invariant):
 
 
 def invariant_hvp(svd, fdot):
-    """Hessian-vector products (H1:Fdot, H2:Fdot, H3:Fdot).
+    """Hessian-vector products (H1:Fdot, H2:Fdot, H3:Fdot) at one
+    decomposition.
 
+    ``fdot`` is one 3x2 matrix or a (k, 3, 2) stack of them; each product
+    has fdot's shape, and a stack's products equal its members' bitwise.
     H2:Fdot = 2 Fdot exactly.  H1 and H3 are evaluated through the rotated
     frame and require nondegenerate singular values.
 

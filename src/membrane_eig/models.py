@@ -8,9 +8,10 @@ The invariants may be (E,) arrays over a stack of elements; ``derivs`` then
 answers with arrays and raises DomainError naming the first element outside
 the domain.  The eigensystem functions, ``project_psd`` and
 ``energy_gradient`` take one decomposition or a stack of them through the
-same code; ``energy_hvp`` takes one.  The generic assembler
-``energy_eigensystem`` turns those scalars into the full six-pair Hessian
-eigensystem of psi(F):
+same code; ``energy_hvp`` takes one decomposition and one fdot, while
+``invariant_hvp`` takes one decomposition and one fdot or a (k, 3, 2)
+stack of them.  The generic assembler ``energy_eigensystem`` turns those
+scalars into the full six-pair Hessian eigensystem of psi(F):
 
 * twist, flip and the two normal modes are always eigenmatrices, with
 
@@ -183,7 +184,8 @@ def energy_hvp(model, svd, fdot):
 
     Assembles sum_k f_k (H_k : fdot) + sum_kl f_kl (g_l : fdot) g_k, with
     H_k : fdot from ``invariant_hvp``.  That call is made only when f1 or f3
-    is nonzero, so a pure-I2 model works at any decomposition.
+    is nonzero, so a pure-I2 model works at any decomposition.  It takes
+    one decomposition and one 3x2 fdot, not a stack.
     """
     fdot = np.asarray(fdot, dtype=float)
     d = model.derivs(invariants(svd))

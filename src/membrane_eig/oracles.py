@@ -7,8 +7,13 @@ The finite-difference oracles take a function ``fn`` that maps an
 it once per oracle call on the whole perturbation stack.  Their results
 equal, bitwise, what a loop calling ``fn`` on one F at a time would give,
 as long as ``fn`` treats each member of a stack as it would treat it alone.
+
+The eigensolver rotates nested lists of Python floats one scalar at a
+time.  Its values and vectors equal, bitwise, those of the same cyclic
+Jacobi loop rotating whole numpy rows and columns.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,15 +138,23 @@ def jacobi_eigen_sym(a):
     their eigenvector columns; each vector's largest-magnitude component is
     made positive so the output is deterministic.
 
+    The rotations run on nested lists of Python floats, one scalar at a
+    time: each entry gets the same IEEE operations, in the same order, as a
+    numpy loop rotating whole rows and columns would give it, so the
+    results equal that loop's bitwise.  The stop test and the final sort
+    run in numpy.
+
     Raises
     ------
+    ValueError
+        If a is not a nonempty square matrix.
     NotSymmetric
         If max|a - a^T| > 1e-10.
     """
     a = np.asarray(a, dtype=float)
-    n = a.shape[0]
-    if a.shape != (n, n):
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    n = a.shape[0]
     if np.max(np.abs(a - a.T)) > 1e-10:
         raise NotSymmetric("matrix is not symmetric to 1e-10")
 
@@ -149,10 +162,11 @@ def jacobi_eigen_sym(a):
     norm = np.linalg.norm(a)
     if norm == 0.0:
         return Spectrum6(values=np.zeros(n), vectors=np.eye(n))
-    v = np.eye(n)
+    a = a.tolist()
+    v = np.eye(n).tolist()
 
     def off(m):
-        o = m.copy()
+        o = np.array(m)
         np.fill_diagonal(o, 0.0)
         return np.linalg.norm(o)
 
@@ -161,34 +175,36 @@ def jacobi_eigen_sym(a):
             break
         for p in range(n - 1):
             for q in range(p + 1, n):
-                apq = a[p, q]
+                row_p, row_q = a[p], a[q]
+                apq = row_p[q]
                 if abs(apq) <= 1e-300:
                     continue
                 # Stable rotation angle (Golub & Van Loan sym. Schur 2x2).
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
+                tau = (row_q[q] - row_p[p]) / (2.0 * apq)
                 if tau >= 0.0:
-                    t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
+                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
                 else:
-                    t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
+                    t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
+                c = 1.0 / math.sqrt(1.0 + t * t)
                 s = t * c
-                rp = a[:, p].copy()
-                rq = a[:, q].copy()
-                a[:, p] = c * rp - s * rq
-                a[:, q] = s * rp + c * rq
-                rp = a[p, :].copy()
-                rq = a[q, :].copy()
-                a[p, :] = c * rp - s * rq
-                a[q, :] = s * rp + c * rq
-                rp = v[:, p].copy()
-                rq = v[:, q].copy()
-                v[:, p] = c * rp - s * rq
-                v[:, q] = s * rp + c * rq
+                # Columns p and q, then rows p and q, then v's columns.
+                for row in a:
+                    rp, rq = row[p], row[q]
+                    row[p] = c * rp - s * rq
+                    row[q] = s * rp + c * rq
+                for k in range(n):
+                    rp, rq = row_p[k], row_q[k]
+                    row_p[k] = c * rp - s * rq
+                    row_q[k] = s * rp + c * rq
+                for row in v:
+                    rp, rq = row[p], row[q]
+                    row[p] = c * rp - s * rq
+                    row[q] = s * rp + c * rq
 
-    values = np.diag(a).copy()
+    values = np.diag(np.array(a))
     order = np.argsort(values, kind="stable")
     values = values[order]
-    vectors = v[:, order]
+    vectors = np.array(v)[:, order]
     for k in range(n):
         lead = np.argmax(np.abs(vectors[:, k]))
         if vectors[lead, k] < 0.0:

@@ -183,3 +183,23 @@ def test_hvp_matches_eigensystem_apply():
     for k, which in enumerate(("I1", "I2", "I3")):
         eig = invariant_eigensystem(which, s)
         assert np.max(np.abs(eig.apply(x) - hvps[k])) < 1e-12
+
+
+def test_hvp_of_a_stack_equals_its_members_bitwise():
+    rng = np.random.default_rng(41)
+    for _ in range(20):
+        s = svd32(rng.uniform(-2.0, 2.0, size=(3, 2)))
+        eig = invariant_eigensystem("I3", s)
+        for stack in (eig.matrices, rng.standard_normal((4, 3, 2))):
+            hvps = invariant_hvp(s, stack)
+            for i, fdot in enumerate(stack):
+                for k, h in enumerate(invariant_hvp(s, fdot)):
+                    assert hvps[k].shape == stack.shape
+                    assert np.array_equal(hvps[k][i], h)
+
+
+def test_hvp_of_a_stack_at_a_degenerate_decomposition_raises():
+    s = svd32(np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]))
+    with pytest.raises(DegenerateHessian) as exc:
+        invariant_hvp(s, np.ones((3, 3, 2)))
+    assert exc.value.invariant == "I1"

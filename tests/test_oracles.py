@@ -4,7 +4,14 @@ before anything else trusts them."""
 import numpy as np
 import pytest
 
-from membrane_eig import NotSymmetric, fd_gradient, fd_hessian6, jacobi_eigen_sym
+from membrane_eig import (
+    NotSymmetric,
+    fd_gradient,
+    fd_hessian6,
+    jacobi_eigen_sym,
+    project_psd,
+    sheet_eigensystem,
+)
 from membrane_eig.checks import _invariant_fn, _sheet_psi, random_f_admissible
 
 F0 = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
@@ -186,3 +193,125 @@ def test_jacobi_rejects_nonsymmetric():
     a[0, 1] = 1e-6
     with pytest.raises(NotSymmetric):
         jacobi_eigen_sym(a)
+
+
+@pytest.mark.parametrize("shape", [(), (3,), (2, 3), (2, 2, 2), (0, 0)])
+def test_jacobi_rejects_a_non_square_input(shape):
+    with pytest.raises(ValueError, match="expected a square matrix"):
+        jacobi_eigen_sym(np.zeros(shape))
+
+
+def _numpy_jacobi(a):
+    # The reference: the rotation loop on numpy rows and columns.
+    a = np.asarray(a, dtype=float)
+    n = a.shape[0]
+    a = 0.5 * (a + a.T)
+    norm = np.linalg.norm(a)
+    if norm == 0.0:
+        return np.zeros(n), np.eye(n)
+    v = np.eye(n)
+
+    def off(m):
+        o = m.copy()
+        np.fill_diagonal(o, 0.0)
+        return np.linalg.norm(o)
+
+    for _ in range(60):
+        if off(a) <= 1e-14 * norm:
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p, q]
+                if abs(apq) <= 1e-300:
+                    continue
+                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
+                if tau >= 0.0:
+                    t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
+                else:
+                    t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
+                c = 1.0 / np.sqrt(1.0 + t * t)
+                s = t * c
+                rp = a[:, p].copy()
+                rq = a[:, q].copy()
+                a[:, p] = c * rp - s * rq
+                a[:, q] = s * rp + c * rq
+                rp = a[p, :].copy()
+                rq = a[q, :].copy()
+                a[p, :] = c * rp - s * rq
+                a[q, :] = s * rp + c * rq
+                rp = v[:, p].copy()
+                rq = v[:, q].copy()
+                v[:, p] = c * rp - s * rq
+                v[:, q] = s * rp + c * rq
+
+    values = np.diag(a).copy()
+    order = np.argsort(values, kind="stable")
+    values = values[order]
+    vectors = v[:, order]
+    for k in range(n):
+        lead = np.argmax(np.abs(vectors[:, k]))
+        if vectors[lead, k] < 0.0:
+            vectors[:, k] = -vectors[:, k]
+    return values, vectors
+
+
+def _assert_jacobi_matches_numpy_loop(a):
+    spec = jacobi_eigen_sym(a)
+    values, vectors = _numpy_jacobi(a)
+    assert np.array_equal(spec.values, values)
+    assert np.array_equal(spec.vectors, vectors)
+
+
+def _symmetric(rng, n, scale=1.0):
+    m = rng.standard_normal((n, n))
+    return scale * (m + m.T)
+
+
+@pytest.mark.parametrize("n", [2, 6])
+def test_jacobi_equals_numpy_rotation_loop_on_random_matrices(n):
+    rng = np.random.default_rng(31 + n)
+    for _ in range(20):
+        _assert_jacobi_matches_numpy_loop(_symmetric(rng, n))
+
+
+def test_jacobi_equals_numpy_rotation_loop_on_sheet_hessians():
+    rng = np.random.default_rng(32)
+    for _ in range(5):
+        f, s = random_f_admissible(rng)
+        _assert_jacobi_matches_numpy_loop(project_psd(sheet_eigensystem(1.3, s)).dense6())
+        _assert_jacobi_matches_numpy_loop(fd_hessian6(_sheet_psi, f))
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        np.diag([3.0, -1.0, 2.0, 0.0]),
+        np.array([[-2.5]]),
+        np.array([[1.0, 1e-310, 0.0], [1e-310, 2.0, 0.5], [0.0, 0.5, 3.0]]),
+        _symmetric(np.random.default_rng(33), 6, scale=1e150),
+        _symmetric(np.random.default_rng(34), 6, scale=1e-150),
+        # At these scales the stop test's norm overflows or underflows.
+        _symmetric(np.random.default_rng(35), 6, scale=1e200),
+        _symmetric(np.random.default_rng(36), 6, scale=1e-200),
+    ],
+    ids=[
+        "diagonal",
+        "1x1",
+        "skipped-1e-310",
+        "scale-1e150",
+        "scale-1e-150",
+        "scale-1e200",
+        "scale-1e-200",
+    ],
+)
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_jacobi_equals_numpy_rotation_loop_on_edge_cases(a):
+    _assert_jacobi_matches_numpy_loop(a)
+
+
+def test_jacobi_nan_entry_gives_nan_values_without_raising():
+    a = _symmetric(np.random.default_rng(37), 6)
+    a[1, 4] = a[4, 1] = np.nan
+    spec = jacobi_eigen_sym(a)
+    assert spec.values.shape == (6,)
+    assert np.isnan(spec.values).any()
