@@ -21,18 +21,17 @@ columns of the system with identity and zeroing their gradient entries.
 
 Array layout.  A problem with E triangles keeps its rest data as arrays
 built once by ``make_problem``: ``elements`` (E, 3) vertex indices,
-``dm_inv`` (E, 2, 2), ``area`` (E,), the element weights area * mu_scale
-(E,), the pullback (E, 6, 9) from an element's nine vertex coordinates
-(x0, x1, x2, each xyz) to row-major vec(F), the pinned-dof mask, and the
-Hessian's CSR sparsity pattern with the CSR slot of each of the E * 81
-element entries.  ``total_energy`` and ``assemble`` then run every kernel
-once over all elements: F (E, 3, 2), the invariants (I2 = |F|^2,
-I3 = |f1 x f2|, I1 = sqrt(I2 + 2 I3), so no SVD is needed for the energy),
-one ``model.derivs`` call on (E,) arrays, and in ``assemble`` one stacked
-``svd32``, one stacked eigensystem and its projection.  Element Hessians
-are formed as G^T diag(w lambda) G with G = Q J, where the rows of Q (6x6)
-are the flattened eigenmatrices and J is the pullback, and are summed into
-the CSR pattern with ``np.bincount``.
+``dm_inv`` (E, 2, 2), ``area`` (E,), the pullback (E, 6, 9) from an
+element's nine vertex coordinates (x0, x1, x2, each xyz) to row-major
+vec(F), the pinned-dof mask, and the Hessian's CSR sparsity pattern with
+the CSR slot of each of the E * 81 element entries.  ``total_energy`` and
+``assemble`` then run every kernel once over all elements: F (E, 3, 2),
+the invariants (I2 = |F|^2, I3 = |f1 x f2|, I1 = sqrt(I2 + 2 I3), so no
+SVD is needed for the energy), one ``model.derivs`` call on (E,) arrays,
+and in ``assemble`` one stacked ``svd32``, one stacked eigensystem and its
+projection.  Element Hessians are formed as G^T diag(area lambda) G with
+G = Q J, where the rows of Q (6x6) are the flattened eigenmatrices and J
+is the pullback, and are summed into the CSR pattern with ``np.bincount``.
 """
 
 from dataclasses import dataclass, field
@@ -131,14 +130,12 @@ class MembraneProblem:
     ``area`` (E,) its rest area.  ``pin_vertices``/``pin_targets`` give
     Dirichlet constraints (the whole vertex is held).  ``gravity`` is a
     constant per-vertex force f adding energy -f . x_v for every vertex.
-    ``mu_scale``, if given, multiplies element energy densities (a
-    per-element stiffness override).
 
     The remaining fields are derived from those on construction, and again
-    by ``dataclasses.replace``: ``weights`` (E,) = area * mu_scale,
-    ``pullback`` (E, 6, 9) maps an element's nine vertex coordinates to
-    row-major vec(F), and the private fields hold the pinned-dof mask, each
-    element's dof indices and the Hessian's CSR pattern.
+    by ``dataclasses.replace``: ``pullback`` (E, 6, 9) maps an element's
+    nine vertex coordinates to row-major vec(F), and the private fields
+    hold the pinned-dof mask, each element's dof indices and the Hessian's
+    CSR pattern.
     """
 
     n_vertices: int
@@ -149,8 +146,6 @@ class MembraneProblem:
     pin_vertices: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
     pin_targets: np.ndarray = field(default_factory=lambda: np.zeros((0, 3)))
     gravity: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    mu_scale: np.ndarray = None
-    weights: np.ndarray = field(init=False)
     pullback: np.ndarray = field(init=False)
     _pinned: np.ndarray = field(init=False, repr=False)
     _dofs: np.ndarray = field(init=False, repr=False)
@@ -160,8 +155,6 @@ class MembraneProblem:
         def put(name, value):
             object.__setattr__(self, name, value)
 
-        weights = self.area if self.mu_scale is None else self.area * self.mu_scale
-        put("weights", weights)
         # J[e, 2 i + c, 3 v + k] = delta_ik B[e, v, c], where row v of B
         # gives vertex v's weights in column c of F.
         dm = self.dm_inv
@@ -257,20 +250,12 @@ def _rest_frames(rest_positions, elements):
     return dm_inv / det[:, None, None], area
 
 
-def make_problem(
-    rest_positions,
-    triangles,
-    model,
-    pins=None,
-    gravity=None,
-    mu_scale=None,
-):
+def make_problem(rest_positions, triangles, model, pins=None, gravity=None):
     """Build a problem's rest data and validate its pins and loads.
 
     ``pins`` maps vertex index -> target position (dict or iterable of
     (vertex, target) pairs); each target and ``gravity`` (a force on every
-    vertex) are 3 finite numbers.  ``mu_scale`` is one nonnegative factor
-    per triangle.  Raises ValueError on malformed input.
+    vertex) are 3 finite numbers.  Raises ValueError on malformed input.
     """
     rest_positions = np.asarray(rest_positions, dtype=float)
     elements = np.array(triangles, dtype=int).reshape(-1, 3)
@@ -292,14 +277,6 @@ def make_problem(
     g = np.zeros(3) if gravity is None else np.asarray(gravity, dtype=float)
     if g.shape != (3,) or not np.all(np.isfinite(g)):
         raise ValueError("gravity must be 3 finite numbers")
-    ms = None if mu_scale is None else np.asarray(mu_scale, dtype=float)
-    if ms is not None:
-        if ms.shape != area.shape:
-            raise ValueError("mu_scale length must match the element count")
-        # Projection clamps each element's spectrum before weighting it,
-        # which equals clamping the scaled spectrum only for factors >= 0.
-        if not np.all(np.isfinite(ms) & (ms >= 0.0)):
-            raise ValueError("mu_scale entries must be finite and nonnegative")
     return MembraneProblem(
         n_vertices=n,
         elements=elements,
@@ -309,7 +286,6 @@ def make_problem(
         pin_vertices=pv,
         pin_targets=pt,
         gravity=g,
-        mu_scale=ms,
     )
 
 
@@ -336,7 +312,7 @@ def _element_derivs(problem, positions):
 
 
 def _energy(problem, positions, psi):
-    energy = float(problem.weights @ psi)
+    energy = float(problem.area @ psi)
     if problem.gravity.any():
         energy -= float(positions.sum(axis=0) @ problem.gravity)
     return energy
@@ -371,16 +347,16 @@ def assemble(problem, positions, project=True):
     f, d = _element_derivs(problem, positions)
     energy = _energy(problem, positions, d.psi)
     svd = svd32(f)
-    w = problem.weights
+    area = problem.area
     jac = problem.pullback
     p = _stress(d, svd, f).reshape(-1, 1, 6)
-    ge = w[:, None] * (p @ jac)[:, 0, :]
+    ge = area[:, None] * (p @ jac)[:, 0, :]
 
     eig = _assemble_eigensystem(d, svd)
     if project:
         eig = project_psd(eig)
     g = eig.matrices.reshape(-1, 6, 6) @ jac
-    he = np.swapaxes(g, 1, 2) @ ((w[:, None] * eig.values)[:, :, None] * g)
+    he = np.swapaxes(g, 1, 2) @ ((area[:, None] * eig.values)[:, :, None] * g)
 
     grad = np.bincount(problem._dofs.ravel(), weights=ge.ravel(), minlength=3 * n)
     if problem.gravity.any():

@@ -27,6 +27,10 @@ where, writing L[C] = U C V^T for a 3x2 coefficient matrix C,
 and the two diag-block modes lie in span{L[E11], L[E22]} (in-plane diagonal
 perturbations).  The first four slots have an identically zero third row in
 the rotated frame; the last two live entirely in that row.
+
+Every function takes one decomposition or a stack of them (see ``svd32``)
+through the same code, and a stack's results equal its members' bitwise.
+``invariant_hvp`` also takes k perturbations per decomposition.
 """
 
 import math
@@ -34,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .svd import SIGMA_EPS
+from .svd import SIGMA_EPS, _per_member
 
 __all__ = [
     "DegenerateHessian",
@@ -173,9 +177,9 @@ def invariant_gradients(svd, f):
 
 
 def _hvp_i1(svd, w):
-    # w = U^T Fdot V, one 3x2 or a (k, 3, 2) stack.  Divides by
-    # sigma1 + sigma2, sigma1, sigma2.
-    s1, s2 = svd.sigma
+    # w = U^T Fdot V, shaped as fdot.  Divides by sigma1 + sigma2, sigma1,
+    # sigma2.
+    s1, s2 = (_per_member(s, svd, w) for s in svd.sigma)
     s12 = s1 + s2
     coeffs = np.zeros_like(w)
     coeffs[..., 0, 1] = (w[..., 0, 1] - w[..., 1, 0]) / s12
@@ -187,7 +191,7 @@ def _hvp_i1(svd, w):
 
 def _hvp_i3(svd, w):
     # Divides by sigma1 and sigma2.
-    s1, s2 = svd.sigma
+    s1, s2 = (_per_member(s, svd, w) for s in svd.sigma)
     coeffs = np.empty_like(w)
     coeffs[..., 0, 0] = w[..., 1, 1]
     coeffs[..., 0, 1] = -w[..., 1, 0]
@@ -206,18 +210,20 @@ def _require(svd, invariant):
 
 
 def invariant_hvp(svd, fdot):
-    """Hessian-vector products (H1:Fdot, H2:Fdot, H3:Fdot) at one
-    decomposition.
+    """Hessian-vector products (H1:Fdot, H2:Fdot, H3:Fdot).
 
-    ``fdot`` is one 3x2 matrix or a (k, 3, 2) stack of them; each product
-    has fdot's shape, and a stack's products equal its members' bitwise.
-    H2:Fdot = 2 Fdot exactly.  H1 and H3 are evaluated through the rotated
-    frame and require nondegenerate singular values.
+    ``svd`` is one decomposition or a stack of them, (B...), and ``fdot``
+    holds one 3x2 matrix per decomposition, (B..., 3, 2), or k of them,
+    (B..., k, 3, 2).  Each product has fdot's shape, and a stack's
+    products equal its members' bitwise.  H2:Fdot = 2 Fdot exactly.  H1
+    and H3 are evaluated through the rotated frame and require
+    nondegenerate singular values.
 
     Raises
     ------
     DegenerateHessian
-        Naming I1 when the singular values are degenerate.
+        Naming I1 when some decomposition's singular values are
+        degenerate.
     """
     fdot = np.asarray(fdot, dtype=float)
     _require(svd, "I1")

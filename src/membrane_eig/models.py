@@ -6,12 +6,12 @@ A model is any object with a ``derivs(inv)`` method mapping an
 (energy value plus first and second partials with respect to I1, I2, I3).
 The invariants may be (E,) arrays over a stack of elements; ``derivs`` then
 answers with arrays and raises DomainError naming the first element outside
-the domain.  The eigensystem functions, ``project_psd`` and
-``energy_gradient`` take one decomposition or a stack of them through the
-same code; ``energy_hvp`` takes one decomposition and one fdot, while
-``invariant_hvp`` takes one decomposition and one fdot or a (k, 3, 2)
-stack of them.  The generic assembler ``energy_eigensystem`` turns those
-scalars into the full six-pair Hessian eigensystem of psi(F):
+the domain.  The eigensystem functions, ``project_psd``,
+``energy_gradient`` and ``energy_hvp`` take one decomposition or a stack
+of them through the same code; ``energy_hvp``, like ``invariant_hvp``,
+takes one fdot or a (k, 3, 2) stack of them per decomposition.  The
+generic assembler ``energy_eigensystem`` turns those scalars into the full
+six-pair Hessian eigensystem of psi(F):
 
 * twist, flip and the two normal modes are always eigenmatrices, with
 
@@ -58,6 +58,7 @@ from .invariants import (
     invariant_hvp,
     invariants,
 )
+from .svd import _per_member
 
 __all__ = [
     "I3_FLOOR",
@@ -163,46 +164,49 @@ class NeoHookeanSheet:
         )
 
 
-def _per_matrix(x):
-    # A coefficient per element of a stack, shaped to scale its 3x2 matrix.
-    return x[..., None, None] if getattr(x, "ndim", 0) else x
+def _per_matrix(c, svd, x):
+    """Shape ``c``, one coefficient per decomposition of ``svd`` or a
+    scalar, to scale the 3x2 matrices ``x`` (see ``svd._per_member``)."""
+    c = _per_member(c, svd, x)
+    return c[..., None, None] if np.ndim(c) else c
 
 
 def _stress(d, svd, f):
     """d psi / dF = sum_k f_k g_k for one F (3x2) or a stack (..., 3, 2)."""
     g1, g2, g3 = invariant_gradients(svd, f)
-    return _per_matrix(d.f1) * g1 + _per_matrix(d.f2) * g2 + _per_matrix(d.f3) * g3
+    c1, c2, c3 = (_per_matrix(c, svd, f) for c in (d.f1, d.f2, d.f3))
+    return c1 * g1 + c2 * g2 + c3 * g3
 
 
 def energy_gradient(model, svd, f):
-    """Gradient of psi(F): sum_k f_k * g_k, a 3x2 array."""
+    """Gradient of psi(F): sum_k f_k * g_k, a 3x2 array (or a stack)."""
     return _stress(model.derivs(invariants(svd)), svd, f)
 
 
 def energy_hvp(model, svd, fdot):
     """Hessian-vector product of psi(F) applied to fdot.
 
+    Takes the shapes ``invariant_hvp`` takes: one decomposition or a stack
+    of them, (B...), with fdot (B..., 3, 2) or (B..., k, 3, 2); the result
+    has fdot's shape, and a stack's results equal its members' bitwise.
     Assembles sum_k f_k (H_k : fdot) + sum_kl f_kl (g_l : fdot) g_k, with
-    H_k : fdot from ``invariant_hvp``.  That call is made only when f1 or f3
-    is nonzero, so a pure-I2 model works at any decomposition.  It takes
-    one decomposition and one 3x2 fdot, not a stack.
+    H_k : fdot from ``invariant_hvp``.  That call is made only when some f1
+    or f3 is nonzero, so a pure-I2 model works at any decomposition.
     """
     fdot = np.asarray(fdot, dtype=float)
     d = model.derivs(invariants(svd))
-    out = np.zeros((3, 2))
-    if d.f2 != 0.0:
-        out += (2.0 * d.f2) * fdot
-    if d.f1 != 0.0 or d.f3 != 0.0:
+    c1, c2, c3 = (_per_matrix(c, svd, fdot) for c in (d.f1, d.f2, d.f3))
+    out = (2.0 * c2) * fdot
+    if np.count_nonzero(d.f1) or np.count_nonzero(d.f3):
         h1, _, h3 = invariant_hvp(svd, fdot)
-        if d.f1 != 0.0:
-            out += d.f1 * h1
-        if d.f3 != 0.0:
-            out += d.f3 * h3
+        out = out + c1 * h1 + c3 * h3
     sp = d.second_partials()
-    if sp.any():
-        g = np.stack(invariant_gradients(svd, svd.reconstruct()))
-        dots = np.einsum("kij,ij->k", g, fdot)
-        out += np.einsum("kl,l,kij->ij", sp, dots, g)
+    if np.count_nonzero(sp):
+        g = np.stack(invariant_gradients(svd, svd.reconstruct()), axis=-3)
+        sp = np.broadcast_to(sp, g.shape[:-3] + (3, 3))
+        g, sp = _per_member(g, svd, fdot), _per_member(sp, svd, fdot)
+        dots = np.einsum("...lij,...ij->...l", g, fdot)
+        out = out + np.einsum("...kl,...l,...kij->...ij", sp, dots, g)
     return out
 
 
@@ -295,7 +299,7 @@ def sheet_eigensystem(mu, svd):
 
     beta = 3.0 * (s2 * s2 - s1 * s1)
     gamma = np.hypot(4.0 * i3, beta)
-    half = mu / (2.0 * i3 ** 4)
+    half = mu / (2.0 * ((i3 * i3) * (i3 * i3)))
     lam_plus = mu + half * (3.0 * i2 + gamma)
     lam_minus = mu + half * (3.0 * i2 - gamma)
 

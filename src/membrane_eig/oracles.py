@@ -142,7 +142,8 @@ def jacobi_eigen_sym(a):
     time: each entry gets the same IEEE operations, in the same order, as a
     numpy loop rotating whole rows and columns would give it, so the
     results equal that loop's bitwise.  The stop test and the final sort
-    run in numpy.
+    run in numpy; the stop test's norms are taken on a copy scaled by a
+    power of two, so it holds for entries of any magnitude.
 
     Raises
     ------
@@ -159,14 +160,17 @@ def jacobi_eigen_sym(a):
         raise NotSymmetric("matrix is not symmetric to 1e-10")
 
     a = 0.5 * (a + a.T)
-    norm = np.linalg.norm(a)
+    # The norms square entries: take them on a / 2^e, 2^e ~ max|a|, which
+    # is exact and neither overflows nor underflows.
+    e = int(np.frexp(np.max(np.abs(a)))[1])
+    norm = np.linalg.norm(np.ldexp(a, -e))
     if norm == 0.0:
         return Spectrum6(values=np.zeros(n), vectors=np.eye(n))
     a = a.tolist()
     v = np.eye(n).tolist()
 
     def off(m):
-        o = np.array(m)
+        o = np.ldexp(m, -e)
         np.fill_diagonal(o, 0.0)
         return np.linalg.norm(o)
 

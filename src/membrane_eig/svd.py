@@ -117,9 +117,8 @@ class Svd32:
         decomposition; the result has the same shape.  This inverts
         C = U^T Fdot V.
         """
-        u, vt = self.u, np.swapaxes(self.v, -1, -2)
-        if np.ndim(coeffs) > u.ndim:
-            u, vt = u[..., None, :, :], vt[..., None, :, :]
+        u = _per_member(self.u, self, coeffs)
+        vt = _per_member(np.swapaxes(self.v, -1, -2), self, coeffs)
         return u @ coeffs @ vt
 
     def rotate(self, x):
@@ -127,10 +126,20 @@ class Svd32:
 
         The inverse of ``lift``, taking the same shapes.
         """
-        ut, v = np.swapaxes(self.u, -1, -2), self.v
-        if np.ndim(x) > ut.ndim:
-            ut, v = ut[..., None, :, :], v[..., None, :, :]
+        ut = _per_member(np.swapaxes(self.u, -1, -2), self, x)
+        v = _per_member(self.v, self, x)
         return ut @ np.asarray(x, dtype=float) @ v
+
+
+def _per_member(a, svd, x):
+    """View ``a`` (one value or block per decomposition of ``svd``: (B...)
+    or (B..., ...)) to line up with ``x``, one 3x2 per decomposition,
+    (B..., 3, 2), or k of them, (B..., k, 3, 2); for the latter a stack's
+    ``a`` gains an axis after B.  The one rule for the optional k axis."""
+    nb = svd.u.ndim - 2
+    if nb and np.ndim(x) > nb + 2 and np.ndim(a) >= nb:
+        return a[(slice(None),) * nb + (None,)]
+    return a
 
 
 @dataclass(frozen=True, eq=False)
@@ -279,7 +288,7 @@ def svd_rates(svd, fdot):
     Parameters
     ----------
     svd : Svd32
-        Decomposition at the base point.
+        One decomposition (not a stack) at the base point.
     fdot : (3, 2) array_like
         Perturbation direction.
 
@@ -289,11 +298,15 @@ def svd_rates(svd, fdot):
 
     Raises
     ------
+    ValueError
+        If ``svd`` is a stack of decompositions or fdot is not a finite 3x2.
     DegenerateRates
         If a rate component is not identifiable: omega_y needs sigma1 >
         SIGMA_EPS, omega_x needs sigma2 > SIGMA_EPS, and (omega_z, alpha)
         need |sigma1 - sigma2| > SIGMA_EPS and sigma1 + sigma2 > SIGMA_EPS.
     """
+    if svd.u.ndim != 2:
+        raise ValueError("svd_rates takes one decomposition, not a stack")
     fdot = _as_mat32(fdot, "fdot")
     s1, s2 = svd.sigma
     if s1 <= SIGMA_EPS:

@@ -78,27 +78,6 @@ def test_total_energy_gravity_term():
     assert base == pytest.approx(-float(UNIT_TRIANGLE.sum(axis=0) @ gravity), abs=1e-15)
 
 
-def test_mu_scale_scales_energy():
-    rest, tris = five_triangle_patch()
-    x = rest * np.array([1.2, 0.9, 1.0])
-    plain = me.make_problem(rest, tris, me.NeoHookeanSheet(1.0))
-    doubled = me.make_problem(
-        rest, tris, me.NeoHookeanSheet(1.0), mu_scale=np.full(len(tris), 2.0)
-    )
-    assert me.total_energy(doubled, x) == pytest.approx(
-        2.0 * me.total_energy(plain, x), rel=1e-14
-    )
-    # The factor folds into the element weights, so the energy, gradient and
-    # Hessian (every model derivative) scale with it.
-    assert np.array_equal(doubled.weights, 2.0 * plain.area)
-    for project in (False, True):
-        e1, g1, h1 = me.assemble(plain, x, project=project)
-        e2, g2, h2 = me.assemble(doubled, x, project=project)
-        assert e2 == pytest.approx(2.0 * e1, rel=1e-14)
-        assert np.allclose(g2, 2.0 * g1, rtol=1e-14, atol=1e-15)
-        assert np.allclose(h2.toarray(), 2.0 * h1.toarray(), rtol=1e-14, atol=1e-15)
-
-
 def test_make_problem_validation():
     with pytest.raises(ValueError):
         me.make_problem(UNIT_TRIANGLE, TRI, me.NeoHookeanSheet(1.0), pins=[(0, [0, 0, 0]), (0, [1, 1, 1])])
@@ -106,10 +85,6 @@ def test_make_problem_validation():
         me.make_problem(UNIT_TRIANGLE, TRI, me.NeoHookeanSheet(1.0), pins={5: [0, 0, 0]})
     with pytest.raises(ValueError):
         me.make_problem(UNIT_TRIANGLE, TRI, me.NeoHookeanSheet(1.0), pins={0: [np.nan, 0, 0]})
-    with pytest.raises(ValueError):
-        me.make_problem(UNIT_TRIANGLE, TRI, me.NeoHookeanSheet(1.0), mu_scale=[1.0, 2.0])
-    with pytest.raises(ValueError):
-        me.make_problem(UNIT_TRIANGLE, TRI, me.NeoHookeanSheet(1.0), mu_scale=[-1.0])
     with pytest.raises(ValueError):
         me.make_problem(UNIT_TRIANGLE, TRI, me.NeoHookeanSheet(1.0), pins={0: [0, 0]})
     for gravity in ([0.0, -1.0], [0.0, 0.0, np.nan], [[0.0, 0.0, -1.0]]):
@@ -221,7 +196,7 @@ def _scalar_route(problem, x, project, eigensystem):
     for e, (a, b, c) in enumerate(problem.elements):
         f = np.column_stack([x[b] - x[a], x[c] - x[a]]) @ problem.dm_inv[e]
         s = me.svd32(f)
-        weight = problem.area[e] * problem.mu_scale[e]
+        weight = problem.area[e]
         energy += weight * model.derivs(me.invariants(s)).psi
         eig = eigensystem(s)
         if project:
@@ -249,8 +224,7 @@ def test_assemble_matches_scalar_route(seed):
     pins = {int(v): x[v] for v in rng.choice(len(rest), size=3, replace=False)}
     model = me.NeoHookeanSheet(rng.uniform(0.5, 2.0))
     problem = me.make_problem(
-        rest, tris, model, pins=pins, gravity=rng.uniform(-0.1, 0.1, 3),
-        mu_scale=rng.uniform(0.5, 2.0, len(tris)),
+        rest, tris, model, pins=pins, gravity=rng.uniform(-0.1, 0.1, 3)
     )
     routes = (
         lambda s: me.sheet_eigensystem(model.mu, s),

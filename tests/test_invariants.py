@@ -9,6 +9,9 @@ from hypothesis import strategies as st
 
 from membrane_eig import (
     DegenerateHessian,
+    ModelDerivs,
+    NeoHookeanSheet,
+    energy_hvp,
     fd_gradient,
     invariant_eigensystem,
     invariant_gradients,
@@ -16,6 +19,7 @@ from membrane_eig import (
     invariants,
     svd32,
 )
+from membrane_eig.checks import random_f_admissible
 
 R = math.sqrt(0.5)
 
@@ -185,17 +189,45 @@ def test_hvp_matches_eigensystem_apply():
         assert np.max(np.abs(eig.apply(x) - hvps[k])) < 1e-12
 
 
+class _QuadraticI1:
+    """psi = (I1 - 2)^2."""
+
+    def derivs(self, inv):
+        return ModelDerivs(psi=(inv.i1 - 2.0) ** 2, f1=2.0 * (inv.i1 - 2.0), f11=2.0)
+
+
 def test_hvp_of_a_stack_equals_its_members_bitwise():
     rng = np.random.default_rng(41)
+    sheet = NeoHookeanSheet(1.3)
+    kernels = (
+        invariant_hvp,
+        lambda s, x: (energy_hvp(sheet, s, x),),
+        # f11 is a float shared by every decomposition of a stack.
+        lambda s, x: (energy_hvp(_QuadraticI1(), s, x),),
+    )
+    # One decomposition with a (k, 3, 2) stack of Fdots.
     for _ in range(20):
         s = svd32(rng.uniform(-2.0, 2.0, size=(3, 2)))
         eig = invariant_eigensystem("I3", s)
         for stack in (eig.matrices, rng.standard_normal((4, 3, 2))):
-            hvps = invariant_hvp(s, stack)
-            for i, fdot in enumerate(stack):
-                for k, h in enumerate(invariant_hvp(s, fdot)):
-                    assert hvps[k].shape == stack.shape
-                    assert np.array_equal(hvps[k][i], h)
+            for hvp in kernels:
+                hvps = hvp(s, stack)
+                for i, fdot in enumerate(stack):
+                    for h, one in zip(hvps, hvp(s, fdot)):
+                        assert h.shape == stack.shape
+                        assert np.array_equal(h[i], one)
+    # A stack of decompositions (B...) with one Fdot each, (B..., 3, 2), or
+    # k each, (B..., k, 3, 2): k != B, k = B, and two batch axes.
+    for batch, k in (((4,), ()), ((4,), (5,)), ((4,), (4,)), ((2, 3), (2,))):
+        for _ in range(5):
+            fs = np.array([random_f_admissible(rng)[0] for _ in range(math.prod(batch))])
+            fdots = rng.standard_normal(fs.shape[:1] + k + (3, 2))
+            s = svd32(fs.reshape(batch + (3, 2)))
+            for hvp in kernels:
+                hvps = hvp(s, fdots.reshape(batch + k + (3, 2)))
+                for i, (f, fdot) in enumerate(zip(fs, fdots)):
+                    for h, one in zip(hvps, hvp(svd32(f), fdot)):
+                        assert np.array_equal(h.reshape(fdots.shape)[i], one)
 
 
 def test_hvp_of_a_stack_at_a_degenerate_decomposition_raises():

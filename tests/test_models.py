@@ -13,10 +13,13 @@ from membrane_eig import (
     Invariants,
     ModelDerivs,
     NeoHookeanSheet,
+    Svd32,
     energy_eigensystem,
     energy_gradient,
     energy_hvp,
     fd_gradient,
+    invariant_eigensystem,
+    invariant_gradients,
     invariants,
     jacobi_eigen_sym,
     project_psd,
@@ -130,6 +133,10 @@ def test_energy_hvp_pure_i2_model_ignores_degeneracy():
     s = svd32(np.zeros((3, 2)))  # fully degenerate decomposition
     fdot = np.array([[0.2, -0.5], [0.8, 0.1], [-0.3, 0.7]])
     assert np.array_equal(energy_hvp(Stretch(), s, fdot), 2.0 * fdot)
+    # A stack with a degenerate member, and k Fdots per decomposition.
+    stack = svd32(np.array([np.zeros((3, 2)), np.eye(3)[:, :2]]))
+    fdots = np.array([[fdot, -fdot, fdot]] * 2)
+    assert np.array_equal(energy_hvp(Stretch(), stack, fdots), 2.0 * fdots)
 
 
 def test_energy_eigensystem_block_diag21(diag21):
@@ -234,8 +241,6 @@ def test_sheet_domain_floor_and_fallback_guard():
 
 def test_project_psd_clamps_i3(diag21):
     _, s = diag21
-    from membrane_eig import invariant_eigensystem
-
     eig = invariant_eigensystem("I3", s)
     proj = project_psd(eig)
     assert np.array_equal(proj.values, [1.0, 0.0, 1.0, 0.0, 0.5, 2.0])
@@ -265,3 +270,44 @@ def test_project_psd_idempotent_and_psd_oracle():
         assert np.min(proj.values) >= 0.0
         min_eig = jacobi_eigen_sym(proj.dense6()).values[0]
         assert min_eig >= -1e-10
+
+
+_SHEET = NeoHookeanSheet(1.3)
+# Each kernel maps (F, svd32(F), X) to its output, for one F or a stack; X
+# is one 3x2 per F for ``apply``.  The HVPs' stack contract, with its
+# optional Fdot axis, is test_hvp_of_a_stack_equals_its_members_bitwise.
+_STACKED_KERNELS = {
+    "svd32": lambda f, s, x: svd32(f),
+    "invariant_gradients": lambda f, s, x: invariant_gradients(s, f),
+    "invariant_eigensystem_I1": lambda f, s, x: invariant_eigensystem("I1", s),
+    "invariant_eigensystem_I2": lambda f, s, x: invariant_eigensystem("I2", s),
+    "invariant_eigensystem_I3": lambda f, s, x: invariant_eigensystem("I3", s),
+    "sheet_eigensystem": lambda f, s, x: sheet_eigensystem(_SHEET.mu, s),
+    "energy_eigensystem": lambda f, s, x: energy_eigensystem(_SHEET, s),
+    "energy_gradient": lambda f, s, x: energy_gradient(_SHEET, s, f),
+    "project_psd_apply": lambda f, s, x: project_psd(energy_eigensystem(_SHEET, s)).apply(x),
+    "project_psd_dense6": lambda f, s, x: project_psd(sheet_eigensystem(_SHEET.mu, s)).dense6(),
+}
+
+
+def _arrays(out):
+    """A kernel's output as a list of arrays (or floats, for one F)."""
+    if isinstance(out, Svd32):
+        return [out.u, *out.sigma, out.v]
+    if isinstance(out, EigenSystem6):
+        return [out.values, out.matrices]
+    return list(out) if isinstance(out, tuple) else [out]
+
+
+@pytest.mark.parametrize("kernel", sorted(_STACKED_KERNELS))
+def test_kernel_on_a_stack_equals_its_members_bitwise(kernel):
+    fn = _STACKED_KERNELS[kernel]
+    rng = np.random.default_rng(5)
+    fs = np.array([random_f_admissible(rng)[0] for _ in range(200)])
+    xs = rng.standard_normal(fs.shape)
+    stacked = _arrays(fn(fs, svd32(fs), xs))
+    for i, (f, x) in enumerate(zip(fs, xs)):
+        member = _arrays(fn(f, svd32(f), x))
+        assert len(member) == len(stacked)
+        for a, b in zip(stacked, member):
+            assert np.array_equal(a[i], b), (kernel, i)

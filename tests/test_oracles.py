@@ -206,13 +206,15 @@ def _numpy_jacobi(a):
     a = np.asarray(a, dtype=float)
     n = a.shape[0]
     a = 0.5 * (a + a.T)
-    norm = np.linalg.norm(a)
+    # The stop test's norms are taken on a / 2^e, with 2^e ~ max|a|.
+    e = int(np.frexp(np.max(np.abs(a)))[1])
+    norm = np.linalg.norm(np.ldexp(a, -e))
     if norm == 0.0:
         return np.zeros(n), np.eye(n)
     v = np.eye(n)
 
     def off(m):
-        o = m.copy()
+        o = np.ldexp(m, -e)
         np.fill_diagonal(o, 0.0)
         return np.linalg.norm(o)
 
@@ -290,7 +292,8 @@ def test_jacobi_equals_numpy_rotation_loop_on_sheet_hessians():
         np.array([[1.0, 1e-310, 0.0], [1e-310, 2.0, 0.5], [0.0, 0.5, 3.0]]),
         _symmetric(np.random.default_rng(33), 6, scale=1e150),
         _symmetric(np.random.default_rng(34), 6, scale=1e-150),
-        # At these scales the stop test's norm overflows or underflows.
+        # At these scales an unscaled stop test's norm overflows or
+        # underflows.
         _symmetric(np.random.default_rng(35), 6, scale=1e200),
         _symmetric(np.random.default_rng(36), 6, scale=1e-200),
     ],
@@ -304,9 +307,16 @@ def test_jacobi_equals_numpy_rotation_loop_on_sheet_hessians():
         "scale-1e-200",
     ],
 )
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_jacobi_equals_numpy_rotation_loop_on_edge_cases(a):
     _assert_jacobi_matches_numpy_loop(a)
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e-160, 1e200, 1e-200])
+def test_jacobi_spectrum_at_extreme_scales(scale):
+    # Here an unscaled stop test's norm overflows (no rotation runs) or
+    # underflows (the zero-matrix return).
+    spec = jacobi_eigen_sym(scale * np.array([[1.0, 2.0], [2.0, 1.0]]))
+    assert np.allclose(spec.values / scale, [-1.0, 3.0], rtol=1e-14, atol=0.0)
 
 
 def test_jacobi_nan_entry_gives_nan_values_without_raising():

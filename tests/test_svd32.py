@@ -161,6 +161,13 @@ def test_sigma_eps_is_the_rate_threshold():
         svd_rates(svd32(f), np.ones((3, 2)))
 
 
+def test_rates_reject_a_stack_of_decompositions():
+    s = svd32(np.array([np.diag([2.0, 1.0, 0.0])[:, :2]] * 2))
+    with pytest.raises(ValueError, match="one decomposition") as exc:
+        svd_rates(s, np.ones((3, 2)))
+    assert not isinstance(exc.value, DegenerateRates)
+
+
 def test_lifted_perturbation_identity_frame():
     s = svd32(np.eye(3)[:, :2])
     out = s.lift(np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]))
