@@ -12,8 +12,6 @@ block solved by the quadratic formula.  sheet_eigensystem implements
 those formulas; below they are checked against two independent routes.
 """
 
-import time
-
 import numpy as np
 
 from membrane_eig import (
@@ -22,6 +20,7 @@ from membrane_eig import (
     fd_hessian6,
     invariants,
     jacobi_eigen_sym,
+    run_bench,
     sheet_eigensystem,
     svd32,
 )
@@ -49,25 +48,9 @@ oracle = jacobi_eigen_sym(fd_hessian6(psi, f))
 print("max |closed - FD oracle| =",
       np.max(np.abs(np.sort(eig.values) - oracle.values)))
 
-# The closed forms exist because they are cheap.  Time both routes on a
-# batch of random states.
-rng = np.random.default_rng(0)
-batch = []
-while len(batch) < 200:
-    cand = rng.uniform(-2.0, 2.0, (3, 2))
-    if invariants(svd32(cand)).i3 > 0.05:
-        batch.append(cand)
-
-t0 = time.perf_counter()
-for x in batch:
-    sheet_eigensystem(mu, svd32(x))
-analytic = time.perf_counter() - t0
-
-t0 = time.perf_counter()
-for x in batch:
-    jacobi_eigen_sym(fd_hessian6(psi, x))
-numeric = time.perf_counter() - t0
-
-print(f"\nanalytic route: {1e6 * analytic / len(batch):.1f} us/call")
-print(f"FD + Jacobi   : {1e6 * numeric / len(batch):.1f} us/call")
-print(f"speedup       : {numeric / analytic:.0f}x")
+# The closed forms exist because they are cheap.  run_bench times both
+# routes, one F at a time, on 200 admissible states (seed 0, I3 > 0.05).
+bench = run_bench(trials=200)
+print(f"\nanalytic route: {bench.analytic_ns / 1e3:.1f} us/call")
+print(f"FD + Jacobi   : {bench.oracle_ns / 1e3:.1f} us/call")
+print(f"speedup       : {bench.speedup:.0f}x")

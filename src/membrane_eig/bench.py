@@ -11,7 +11,7 @@ from .models import sheet_eigensystem
 from .oracles import fd_hessian6, jacobi_eigen_sym
 from .svd import svd32
 
-__all__ = ["BenchReport", "run_bench"]
+__all__ = ["run_bench"]
 
 _SEED = 0
 

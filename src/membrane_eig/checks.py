@@ -40,13 +40,7 @@ from . import models as mod_mod
 from . import oracles as orc_mod
 from . import svd as svd_mod
 
-__all__ = [
-    "CheckReport",
-    "run_checks",
-    "random_f",
-    "random_f_nondegenerate",
-    "random_f_admissible",
-]
+__all__ = ["run_checks", "CheckReport"]
 
 # Floors of the nondegenerate and gapped samplers.
 _MIN_SIGMA2 = 0.05

@@ -45,18 +45,14 @@ from .models import DomainError, _assemble_eigensystem, _stress, project_psd
 from .svd import svd32
 
 __all__ = [
-    "AREA_EPS",
+    "make_problem",
+    "newton_solve",
+    "assemble",
+    "total_energy",
+    "NewtonConfig",
     "DegenerateTriangle",
     "LineSearchFailed",
     "LinearSolveFailed",
-    "MembraneProblem",
-    "NewtonConfig",
-    "SolveReport",
-    "deformation_gradients",
-    "make_problem",
-    "assemble",
-    "total_energy",
-    "newton_solve",
 ]
 
 AREA_EPS = 1e-12
@@ -143,9 +139,9 @@ class MembraneProblem:
     dm_inv: np.ndarray
     area: np.ndarray
     model: object
-    pin_vertices: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
-    pin_targets: np.ndarray = field(default_factory=lambda: np.zeros((0, 3)))
-    gravity: np.ndarray = field(default_factory=lambda: np.zeros(3))
+    pin_vertices: np.ndarray
+    pin_targets: np.ndarray
+    gravity: np.ndarray
     pullback: np.ndarray = field(init=False)
     _pinned: np.ndarray = field(init=False, repr=False)
     _dofs: np.ndarray = field(init=False, repr=False)

@@ -41,13 +41,12 @@ import numpy as np
 from .svd import SIGMA_EPS, _per_member
 
 __all__ = [
-    "DegenerateHessian",
-    "Invariants",
     "EigenSystem6",
     "invariants",
     "invariant_gradients",
     "invariant_hvp",
     "invariant_eigensystem",
+    "DegenerateHessian",
 ]
 
 _SQRT_HALF = math.sqrt(0.5)

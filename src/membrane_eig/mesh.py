@@ -2,7 +2,7 @@
 
 import numpy as np
 
-__all__ = ["load_obj", "save_obj", "grid_mesh"]
+__all__ = ["grid_mesh", "load_obj", "save_obj"]
 
 
 def load_obj(path):
@@ -65,16 +65,17 @@ def save_obj(path, positions, triangles):
         fh.write("".join(lines))
 
 
-def grid_mesh(nx, ny, width=1.0, height=1.0):
-    """Regular (nx x ny)-quad grid in the z = 0 plane, each quad split in two.
+def grid_mesh(nx, ny):
+    """Regular (nx x ny)-quad grid over the unit square in the z = 0 plane,
+    each quad split in two.
 
     Returns ((nx+1)*(ny+1) positions, 2*nx*ny triangles).  Vertex (i, j)
-    sits at (i * width / nx, j * height / ny, 0) with index i + j * (nx + 1).
+    sits at (i / nx, j / ny, 0) with index i + j * (nx + 1).
     """
     if nx < 1 or ny < 1:
         raise ValueError("grid_mesh needs at least one quad per side")
-    xs = np.linspace(0.0, width, nx + 1)
-    ys = np.linspace(0.0, height, ny + 1)
+    xs = np.linspace(0.0, 1.0, nx + 1)
+    ys = np.linspace(0.0, 1.0, ny + 1)
     positions = np.array([[x, y, 0.0] for y in ys for x in xs])
     triangles = []
     for j in range(ny):

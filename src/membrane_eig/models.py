@@ -61,10 +61,9 @@ from .invariants import (
 from .svd import _per_member
 
 __all__ = [
-    "I3_FLOOR",
-    "DomainError",
-    "ModelDerivs",
     "NeoHookeanSheet",
+    "ModelDerivs",
+    "DomainError",
     "energy_gradient",
     "energy_hvp",
     "energy_eigensystem",

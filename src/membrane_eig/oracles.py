@@ -18,13 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "NotSymmetric",
-    "Spectrum6",
-    "fd_gradient",
-    "fd_hessian6",
-    "jacobi_eigen_sym",
-]
+__all__ = ["fd_gradient", "fd_hessian6", "jacobi_eigen_sym", "NotSymmetric"]
 
 
 _MAX_SWEEPS = 60
@@ -142,8 +136,9 @@ def jacobi_eigen_sym(a):
     time: each entry gets the same IEEE operations, in the same order, as a
     numpy loop rotating whole rows and columns would give it, so the
     results equal that loop's bitwise.  The stop test and the final sort
-    run in numpy; the stop test's norms are taken on a copy scaled by a
-    power of two, so it holds for entries of any magnitude.
+    run in numpy.  The loop runs on a copy scaled by a power of two near
+    1 / max|a|, and the values are scaled back, so it holds for entries of
+    any magnitude.
 
     Raises
     ------
@@ -159,18 +154,21 @@ def jacobi_eigen_sym(a):
     if np.max(np.abs(a - a.T)) > 1e-10:
         raise NotSymmetric("matrix is not symmetric to 1e-10")
 
-    a = 0.5 * (a + a.T)
-    # The norms square entries: take them on a / 2^e, 2^e ~ max|a|, which
-    # is exact and neither overflows nor underflows.
+    # Rotate a / 2^e, 2^e ~ max|a|: the scaling is exact, neither a + a^T
+    # nor the norms that square entries overflow or underflow, and the
+    # 1e-300 skip is relative to max|a|.  The values are scaled back at the
+    # end.
     e = int(np.frexp(np.max(np.abs(a)))[1])
-    norm = np.linalg.norm(np.ldexp(a, -e))
+    a = np.ldexp(a, -e)
+    a = 0.5 * (a + a.T)
+    norm = np.linalg.norm(a)
     if norm == 0.0:
         return Spectrum6(values=np.zeros(n), vectors=np.eye(n))
     a = a.tolist()
     v = np.eye(n).tolist()
 
     def off(m):
-        o = np.ldexp(m, -e)
+        o = np.array(m)
         np.fill_diagonal(o, 0.0)
         return np.linalg.norm(o)
 
@@ -205,7 +203,7 @@ def jacobi_eigen_sym(a):
                     row[p] = c * rp - s * rq
                     row[q] = s * rp + c * rq
 
-    values = np.diag(np.array(a))
+    values = np.ldexp(np.diag(np.array(a)), e)
     order = np.argsort(values, kind="stable")
     values = values[order]
     vectors = np.array(v)[:, order]

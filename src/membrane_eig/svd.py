@@ -53,14 +53,7 @@ import numpy as np
 # combinations.  Construction of the SVD itself uses relative guards instead.
 SIGMA_EPS = 1e-10
 
-__all__ = [
-    "SIGMA_EPS",
-    "DegenerateRates",
-    "Svd32",
-    "SvdRates",
-    "svd32",
-    "svd_rates",
-]
+__all__ = ["Svd32", "svd32", "svd_rates", "DegenerateRates"]
 
 
 class DegenerateRates(ValueError):

@@ -289,3 +289,13 @@ def test_console_script_on_path():
     assert result.returncode == 0
     payload = json.loads(result.stdout)
     assert payload["eigenvalues"][5] == 0.75
+
+
+def test_package_import_leaves_the_cli_unloaded():
+    code = "import sys, membrane_eig; print('membrane_eig.cli' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "False\n"

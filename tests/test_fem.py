@@ -383,7 +383,7 @@ def test_newton_factors_once_per_step_from_flat_rest(tmp_path, monkeypatch):
 
 
 def test_solve_report_to_dict():
-    report = me.SolveReport(
+    report = fem.SolveReport(
         iterations=1,
         history=((0, 2.0, 0.5, 0.0), (1, 1.0, 1e-9, 1.0)),
         termination="converged",

@@ -9,14 +9,14 @@ import membrane_eig as me
 
 
 def test_grid_mesh_layout():
-    positions, triangles = me.grid_mesh(2, 3, width=2.0, height=3.0)
+    positions, triangles = me.grid_mesh(2, 3)
     assert positions.shape == (12, 3)
     assert triangles.shape == (12, 3)
-    # vertex (i, j) lives at index i + j * (nx + 1)
+    # vertex (i, j) lives at index i + j * (nx + 1), at (i / nx, j / ny)
     assert np.array_equal(positions[0], [0.0, 0.0, 0.0])
-    assert np.array_equal(positions[2], [2.0, 0.0, 0.0])
-    assert np.array_equal(positions[3], [0.0, 1.0, 0.0])
-    assert np.array_equal(positions[11], [2.0, 3.0, 0.0])
+    assert np.array_equal(positions[2], [1.0, 0.0, 0.0])
+    assert np.array_equal(positions[3], [0.0, 1.0 / 3.0, 0.0])
+    assert np.array_equal(positions[11], [1.0, 1.0, 0.0])
     # first quad splits into [a, b, d], [a, d, c]
     assert np.array_equal(triangles[0], [0, 1, 4])
     assert np.array_equal(triangles[1], [0, 4, 3])

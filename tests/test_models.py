@@ -10,7 +10,6 @@ from membrane_eig import (
     DegenerateHessian,
     DomainError,
     EigenSystem6,
-    Invariants,
     ModelDerivs,
     NeoHookeanSheet,
     Svd32,
@@ -27,6 +26,7 @@ from membrane_eig import (
     svd32,
 )
 from membrane_eig.checks import random_f_admissible
+from membrane_eig.invariants import Invariants
 from membrane_eig.models import I3_FLOOR
 
 R = math.sqrt(0.5)

@@ -311,10 +311,12 @@ def test_jacobi_equals_numpy_rotation_loop_on_edge_cases(a):
     _assert_jacobi_matches_numpy_loop(a)
 
 
-@pytest.mark.parametrize("scale", [1e160, 1e-160, 1e200, 1e-200])
+@pytest.mark.parametrize("scale", [1e160, 1e-160, 1e200, 1e-200, 1e-301, 1e-310, 5e307])
 def test_jacobi_spectrum_at_extreme_scales(scale):
     # Here an unscaled stop test's norm overflows (no rotation runs) or
-    # underflows (the zero-matrix return).
+    # underflows (the zero-matrix return), at 1e-301 and below an absolute
+    # 1e-300 skip leaves the matrix unrotated, and at 5e307 an unscaled
+    # a + a^T overflows.
     spec = jacobi_eigen_sym(scale * np.array([[1.0, 2.0], [2.0, 1.0]]))
     assert np.allclose(spec.values / scale, [-1.0, 3.0], rtol=1e-14, atol=0.0)
 

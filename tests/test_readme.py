@@ -1,8 +1,11 @@
-"""The README's code examples run as documented."""
+"""The README's code examples run as documented, and its list of names is
+the package's public surface."""
 
+import importlib
 import json
 import re
 import shutil
+import types
 from pathlib import Path
 
 import membrane_eig as me
@@ -10,6 +13,18 @@ import membrane_eig as me
 from conftest import build_stretch_scene
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+
+
+MODULES = [
+    importlib.import_module(f"membrane_eig.{name}")
+    for name in (
+        "bench", "checks", "oracles", "scene", "mesh", "fem", "models", "invariants", "svd"
+    )
+]
+
+
+def _section(title):
+    return re.search(rf"^## {title}\n(.*?)^## ", README, flags=re.M | re.S).group(1)
 
 
 def _blocks(lang):
@@ -47,3 +62,22 @@ def test_json_scene_example_loads(tmp_path):
     assert list(problem.gravity) == spec["gravity"]
     assert (config.tol, config.max_iters) == (spec["tol"], spec["max_iters"])
     assert output_dir == (tmp_path / spec["output_dir"]).resolve()
+
+
+def test_package_all_is_the_module_lists():
+    names = ["__version__"] + [n for m in MODULES for n in m.__all__]
+    assert me.__all__ == names
+    assert len(set(names)) == len(names) == 40
+    assert all(getattr(me, n) is getattr(m, n) for m in MODULES for n in m.__all__)
+
+
+def test_readme_box_names_exactly_the_package_all():
+    named = set(re.findall(r"`(\w+)`", _section("What is in the box")))
+    assert set(me.__all__) <= named
+    # Any other public name of a module that the section names is missing
+    # from that module's __all__.
+    public = {
+        n for m in MODULES for n, v in vars(m).items()
+        if not n.startswith("_") and not isinstance(v, types.ModuleType)
+    }
+    assert named & public <= set(me.__all__)
