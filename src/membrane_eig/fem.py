@@ -24,7 +24,10 @@ built once by ``make_problem``: ``elements`` (E, 3) vertex indices,
 ``dm_inv`` (E, 2, 2), ``area`` (E,), the pullback (E, 6, 9) from an
 element's nine vertex coordinates (x0, x1, x2, each xyz) to row-major
 vec(F), the pinned-dof mask, and the Hessian's CSR sparsity pattern with
-the CSR slot of each of the E * 81 element entries.  ``total_energy`` and
+the CSR slot of each of the E * 81 element entries.  Pins hold whole
+vertices, so that is the pattern of the E * 9 vertex pairs with each pair
+expanded to a 3x3 block, built by arithmetic on their ``np.unique``; a
+pinned vertex's rows hold only their diagonal entry.  ``total_energy`` and
 ``assemble`` then run every kernel once over all elements: F (E, 3, 2),
 the invariants (I2 = |F|^2, I3 = |f1 x f2|, I1 = sqrt(I2 + 2 I3), so no
 SVD is needed for the energy), one ``model.derivs`` call on (E,) arrays,
@@ -80,7 +83,8 @@ class _HessianPattern:
     """CSR structure of the assembled Hessian.  ``slots`` gives, for each
     of the E * 81 element entries in (element, row, column) order, its
     index in the CSR data, or ``nnz`` for an entry in a pinned row or
-    column; ``diag_slots`` are the pinned dofs' diagonal entries."""
+    column; ``diag_slots`` are the pinned dofs' diagonal entries.  Slots
+    are intp, so that ``np.bincount`` takes them without a converted copy."""
 
     indptr: np.ndarray
     indices: np.ndarray
@@ -92,29 +96,36 @@ class _HessianPattern:
         return len(self.indices)
 
 
-def _hessian_pattern(dofs, pinned):
-    ndof = pinned.size
-    rows = np.repeat(dofs, 9, axis=1).ravel()
-    cols = np.tile(dofs, (1, 9)).ravel()
-    keep = ~(pinned[rows] | pinned[cols])
-    diag = np.flatnonzero(pinned)
-    keys = np.concatenate(
-        [rows[keep].astype(np.int64) * ndof + cols[keep], diag * (ndof + 1)]
-    )
-    del rows, cols
+def _hessian_pattern(elements, pinned, index):
+    """The ``_HessianPattern`` of (E, 3) ``elements`` with the (N,) ``pinned``
+    vertex mask (see the module docstring), its CSR arrays of dtype ``index``."""
+    n = pinned.size
+    k = np.arange(3, dtype=index)
+    # The E * 9 vertex pairs in (element, row vertex, column vertex) order;
+    # a pair with a pinned vertex gets a key past every kept one.
+    keys = np.repeat(elements, 3, axis=1).astype(np.int64).ravel() * n
+    keys += np.tile(elements, 3).ravel()
+    drop = pinned[elements]
+    keys[(np.repeat(drop, 3, axis=1) | np.tile(drop, 3)).ravel()] = n * n
     uniq, inverse = np.unique(keys, return_inverse=True)
-    del keys
-    kept = np.count_nonzero(keep)
-    slots = np.full(keep.size, len(uniq), dtype=dofs.dtype)
-    slots[keep] = inverse[:kept]
-    indptr = np.zeros(ndof + 1, dtype=dofs.dtype)
-    np.cumsum(np.bincount(uniq // ndof, minlength=ndof), out=indptr[1:])
-    return _HessianPattern(
-        indptr=indptr,
-        indices=(uniq % ndof).astype(dofs.dtype),
-        slots=slots,
-        diag_slots=inverse[kept:],
-    )
+    rows, cols = np.divmod(uniq[: np.searchsorted(uniq, n * n)], n)
+    degree = np.bincount(rows, minlength=n)
+    width = 3 * degree + pinned  # entries in each of a vertex's 3 rows
+    indptr = np.zeros(3 * n + 1, dtype=index)
+    np.cumsum(np.repeat(width, 3), out=indptr[1:])
+    start, nnz = indptr[:-1:3], int(indptr[-1])
+    # Entry (k, l) of pair p's block, the j-th pair of its row vertex v,
+    # sits at start[v] + k width[v] + 3 j + l; a dropped pair's at nnz.
+    j = np.arange(rows.size) - (np.cumsum(degree) - degree)[rows]
+    block = np.full((rows.size + 1, 3, 3), nnz, dtype=np.intp)
+    block[:-1] = (start[rows] + 3 * j + width[rows] * k[:, None]).T[:, :, None] + k
+    indices = np.empty(nnz, dtype=index)
+    indices[block[:-1]] = 3 * cols[:, None, None] + k
+    pv = np.flatnonzero(pinned)
+    diag_slots = (start[pv, None] + k).ravel()
+    indices[diag_slots] = (3 * pv[:, None] + k).ravel()
+    slots = block[inverse.reshape(-1, 3, 3)].transpose(0, 1, 3, 2, 4).ravel()
+    return _HessianPattern(indptr, indices, slots, diag_slots)
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,17 +170,17 @@ class MembraneProblem:
         for i in range(3):
             j[:, i, :, :, i] = b.transpose(0, 2, 1)
         put("pullback", j.reshape(-1, 6, 9))
-        pinned = np.zeros(3 * self.n_vertices, dtype=bool)
-        pinned[(3 * self.pin_vertices[:, None] + np.arange(3)).ravel()] = True
-        put("_pinned", pinned)
+        pinned = np.zeros(self.n_vertices, dtype=bool)
+        pinned[self.pin_vertices] = True
+        put("_pinned", np.repeat(pinned, 3))
         # 32-bit dof indices where every CSR index fits, as scipy would
         # choose: they halve the pattern's memory and spare a conversion on
         # every assembly.
-        size = pinned.size + 81 * len(self.elements)
+        size = 3 * pinned.size + 81 * len(self.elements)
         index = np.int32 if size < 2**31 else np.int64
         dofs = (3 * self.elements[:, :, None] + np.arange(3)).reshape(-1, 9).astype(index)
         put("_dofs", dofs)
-        put("_pattern", _hessian_pattern(dofs, pinned))
+        put("_pattern", _hessian_pattern(self.elements, pinned, index))
 
     def pinned_dof_mask(self):
         return self._pinned.copy()
@@ -251,7 +262,8 @@ def make_problem(rest_positions, triangles, model, pins=None, gravity=None):
 
     ``pins`` maps vertex index -> target position (dict or iterable of
     (vertex, target) pairs); each target and ``gravity`` (a force on every
-    vertex) are 3 finite numbers.  Raises ValueError on malformed input.
+    vertex) are 3 finite numbers.  Raises ValueError on malformed input, and
+    when gravity is nonzero and an unpinned vertex is in no triangle.
     """
     rest_positions = np.asarray(rest_positions, dtype=float)
     elements = np.array(triangles, dtype=int).reshape(-1, 3)
@@ -273,6 +285,10 @@ def make_problem(rest_positions, triangles, model, pins=None, gravity=None):
     g = np.zeros(3) if gravity is None else np.asarray(gravity, dtype=float)
     if g.shape != (3,) or not np.all(np.isfinite(g)):
         raise ValueError("gravity must be 3 finite numbers")
+    loose = np.ones(n, dtype=bool)
+    loose[elements] = loose[pv] = False
+    if g.any() and loose.any():  # nothing would hold it against the load
+        raise ValueError(f"vertex {np.argmax(loose)} is in no triangle and not pinned")
     return MembraneProblem(
         n_vertices=n,
         elements=elements,

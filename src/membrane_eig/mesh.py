@@ -16,36 +16,19 @@ def load_obj(path):
     -------
     (positions, triangles) : ((N, 3) float ndarray, (M, 3) int ndarray)
     """
-    positions = []
-    triangles = []
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if parts[0] == "v":
-                if len(parts) < 4:
-                    raise ValueError(f"{path}:{lineno}: malformed vertex record")
-                positions.append([float(x) for x in parts[1:4]])
-            elif parts[0] == "f":
-                verts = parts[1:]
-                if len(verts) != 3:
-                    raise ValueError(
-                        f"{path}:{lineno}: only triangle faces are supported, "
-                        f"got {len(verts)} vertices"
-                    )
-                idx = []
-                for v in verts:
-                    i = int(v.split("/")[0])
-                    if i < 1:
-                        raise ValueError(
-                            f"{path}:{lineno}: face indices must be positive"
-                        )
-                    idx.append(i - 1)
-                triangles.append(idx)
-    positions = np.asarray(positions, dtype=float).reshape(-1, 3)
-    triangles = np.asarray(triangles, dtype=int).reshape(-1, 3)
+        records = [line.split() for line in fh.read().split("\n")]
+    verts = [r[1:4] for r in records if r and r[0] == "v"]
+    faces = [r[1:] for r in records if r and r[0] == "f"]
+    try:
+        positions = np.array(verts, dtype=float).reshape(len(verts), 3)
+        corners = [c.partition("/")[0] for face in faces for c in face]
+        triangles = np.array(corners, dtype=int).reshape(-1, 3) - 1
+        if set(map(len, faces)) - {3} or triangles.min(initial=0) < 0:
+            raise ValueError("malformed record")
+    except (ValueError, OverflowError):
+        _raise_first_fault(path, records)
+        raise
     if not np.all(np.isfinite(positions)):
         raise ValueError(f"{path}: non-finite vertex coordinates")
     if triangles.size and triangles.max() >= len(positions):
@@ -53,14 +36,42 @@ def load_obj(path):
     return positions, triangles
 
 
+def _raise_first_fault(path, records):
+    """Raise the error of the first malformed ``v`` or ``f`` record, as
+    converting the records one by one in file order would."""
+    for lineno, parts in enumerate(records, start=1):
+        where = f"{path}:{lineno}:"
+        if parts[:1] == ["v"]:
+            if len(parts) < 4:
+                raise ValueError(f"{where} malformed vertex record")
+            [float(x) for x in parts[1:4]]
+        elif parts[:1] == ["f"]:
+            if len(parts) != 4:
+                raise ValueError(
+                    f"{where} only triangle faces are supported, "
+                    f"got {len(parts) - 1} vertices"
+                )
+            if any(int(c.partition("/")[0]) < 1 for c in parts[1:]):
+                raise ValueError(f"{where} face indices must be positive")
+
+
+class _FaceBlock(str):
+    """The ``f`` lines of a triangle array, which ``save_obj`` accepts in
+    place of the array, so that the frames of a solve share one."""
+
+    def __new__(cls, triangles):
+        rows = (np.asarray(triangles, dtype=int) + 1).tolist()
+        return super().__new__(cls, "".join(f"f {a} {b} {c}\n" for a, b, c in rows))
+
+
 def save_obj(path, positions, triangles):
     """Write a triangle mesh as OBJ.  Floats use repr for exact round-trips."""
     positions = np.asarray(positions, dtype=float)
-    triangles = np.asarray(triangles, dtype=int) + 1
     # tolist() hands over Python floats and ints, whose repr and str are
     # the exact text; the file is written in one call.
     lines = [f"v {x!r} {y!r} {z!r}\n" for x, y, z in positions.tolist()]
-    lines += [f"f {a} {b} {c}\n" for a, b, c in triangles.tolist()]
+    faces = triangles if isinstance(triangles, _FaceBlock) else _FaceBlock(triangles)
+    lines.append(faces)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("".join(lines))
 
@@ -74,16 +85,9 @@ def grid_mesh(nx, ny):
     """
     if nx < 1 or ny < 1:
         raise ValueError("grid_mesh needs at least one quad per side")
-    xs = np.linspace(0.0, 1.0, nx + 1)
-    ys = np.linspace(0.0, 1.0, ny + 1)
-    positions = np.array([[x, y, 0.0] for y in ys for x in xs])
-    triangles = []
-    for j in range(ny):
-        for i in range(nx):
-            a = i + j * (nx + 1)
-            b = a + 1
-            c = a + (nx + 1)
-            d = c + 1
-            triangles.append([a, b, d])
-            triangles.append([a, d, c])
-    return positions, np.asarray(triangles, dtype=int)
+    x, y = np.meshgrid(np.linspace(0.0, 1.0, nx + 1), np.linspace(0.0, 1.0, ny + 1))
+    positions = np.column_stack([x.ravel(), y.ravel(), np.zeros(x.size)])
+    # Quad (i, j) has corners a, b = a + 1, c = a + nx + 1 and d = c + 1.
+    a = (np.arange(nx) + (nx + 1) * np.arange(ny)[:, None]).ravel()
+    b, c, d = a + 1, a + nx + 1, a + nx + 2
+    return positions, np.stack([a, b, d, a, d, c], axis=1).reshape(-1, 3)

@@ -27,7 +27,7 @@ import json
 from pathlib import Path
 
 from .fem import NewtonConfig, make_problem, newton_solve
-from .mesh import load_obj, save_obj
+from .mesh import _FaceBlock, load_obj, save_obj
 from .models import NeoHookeanSheet
 
 __all__ = ["load_scene", "solve_scene", "solve_and_export"]
@@ -125,11 +125,10 @@ def solve_and_export(problem, x0, config, output_dir):
     """
     output_dir = Path(output_dir)
     output_dir.mkdir(parents=True, exist_ok=True)
+    faces = _FaceBlock(problem.elements)
 
     def write_frame(iteration, positions):
-        save_obj(
-            output_dir / f"frame_{iteration:04d}.obj", positions, problem.elements
-        )
+        save_obj(output_dir / f"frame_{iteration:04d}.obj", positions, faces)
 
     positions, report = newton_solve(problem, x0, config, callback=write_frame)
 

@@ -182,6 +182,21 @@ def test_solve_zero_i3_floor_writes_nothing(capsys, stretch_scene):
     assert not (stretch_scene.parent / spec["output_dir"]).exists()
 
 
+def test_solve_gravity_on_a_vertex_in_no_triangle_writes_nothing(capsys, stretch_scene):
+    mesh = stretch_scene.parent / "sheet.obj"
+    loose = mesh.read_text().count("v ")
+    with open(mesh, "a", encoding="utf-8") as fh:
+        fh.write("v 2.0 2.0 0.0\n")
+    spec = json.loads(stretch_scene.read_text())
+    spec["gravity"] = [0.0, 0.0, -0.01]
+    stretch_scene.write_text(json.dumps(spec))
+    code, out, err = run_cli(capsys, "solve", "--scene", str(stretch_scene))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and f"vertex {loose} is in no triangle" in err
+    assert not (stretch_scene.parent / spec["output_dir"]).exists()
+
+
 # Scene edits that load_scene must reject, each with the name it reports.
 MALFORMED_SCENES = {
     "no_mesh": (lambda spec: spec.pop("mesh"), "'mesh'"),

@@ -127,6 +127,121 @@ def test_assemble_pinned_rows_are_identity():
     assert sym_err < 1e-12
 
 
+def dof_key_pattern(dofs, pinned):
+    """The Hessian's CSR pattern built from the E * 81 dof-pair keys: the
+    construction that the vertex-pair one replaced, kept as its oracle."""
+    ndof = pinned.size
+    rows = np.repeat(dofs, 9, axis=1).ravel()
+    cols = np.tile(dofs, (1, 9)).ravel()
+    keep = ~(pinned[rows] | pinned[cols])
+    diag = np.flatnonzero(pinned)
+    keys = np.concatenate(
+        [rows[keep].astype(np.int64) * ndof + cols[keep], diag * (ndof + 1)]
+    )
+    uniq, inverse = np.unique(keys, return_inverse=True)
+    kept = np.count_nonzero(keep)
+    slots = np.full(keep.size, len(uniq), dtype=dofs.dtype)
+    slots[keep] = inverse[:kept]
+    indptr = np.zeros(ndof + 1, dtype=dofs.dtype)
+    np.cumsum(np.bincount(uniq // ndof, minlength=ndof), out=indptr[1:])
+    return {
+        "indptr": indptr,
+        "indices": (uniq % ndof).astype(dofs.dtype),
+        "slots": slots,
+        "diag_slots": inverse[kept:],
+    }
+
+
+def taut_grid(n, stretch, every_boundary=False):
+    """An n x n grid and pins at ``stretch`` on its left and right columns
+    (or on every boundary vertex)."""
+    rest, tris = me.grid_mesh(n, n)
+    i, j = np.arange(len(rest)) % (n + 1), np.arange(len(rest)) // (n + 1)
+    edge = (i == 0) | (i == n) | (every_boundary & ((j == 0) | (j == n)))
+    target = rest * [stretch, 1.0, 1.0] - [(stretch - 1.0) / 2.0, 0.0, 0.0]
+    return rest, tris, {int(v): target[v] for v in np.flatnonzero(edge)}
+
+
+def shuffled(rest, tris, pins, seed=0):
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(len(rest))  # new vertex k is old vertex order[k]
+    new_index = np.argsort(order)
+    tris = np.roll(new_index[tris][rng.permutation(len(tris))], 1, axis=1)
+    return rest[order], tris, {int(new_index[v]): t for v, t in pins.items()}
+
+
+def with_loose_vertex(rest, tris, pins, pinned):
+    rest = np.vstack([rest, [[2.0, 2.0, 0.0]]])
+    return rest, tris, ({**pins, len(rest) - 1: rest[-1]} if pinned else pins)
+
+
+PATTERN_CASES = {
+    "stretch": lambda: taut_grid(14, 1.5),
+    "drape": lambda: taut_grid(20, 1.4),
+    "shuffled": lambda: shuffled(*taut_grid(6, 1.3)),
+    "no_pins": lambda: taut_grid(5, 1.0)[:2] + ({},),
+    "every_boundary_vertex_pinned": lambda: taut_grid(5, 1.2, every_boundary=True),
+    "loose_vertex_free": lambda: with_loose_vertex(*taut_grid(4, 1.2), pinned=False),
+    "loose_vertex_pinned": lambda: with_loose_vertex(*taut_grid(4, 1.2), pinned=True),
+}
+
+
+@pytest.mark.parametrize("case", list(PATTERN_CASES))
+def test_hessian_pattern_matches_dof_key_construction(case):
+    rest, tris, pins = PATTERN_CASES[case]()
+    problem = me.make_problem(rest, tris, me.NeoHookeanSheet(1.0), pins=pins)
+    expected = dof_key_pattern(problem._dofs, problem._pinned)
+    index = problem._dofs.dtype
+    for name, want in expected.items():
+        got = getattr(problem._pattern, name)
+        assert np.array_equal(got, want), name
+        # The dof-key slots are index-typed, and its diag_slots are a slice
+        # of np.unique's intp inverse.  Now the slots are intp, the type
+        # np.bincount takes, and diag_slots are index-typed like indices.
+        assert got.dtype == (np.intp if name == "slots" else index), name
+    # diag_slots must not be a view that keeps a larger array alive.
+    diag = problem._pattern.diag_slots
+    base = diag
+    while base.base is not None:
+        base = base.base
+        assert base.nbytes <= diag.nbytes
+
+
+@pytest.mark.parametrize("pinned", [False, True])
+def test_vertex_in_no_triangle_has_empty_or_identity_rows(pinned):
+    rest, tris, pins = with_loose_vertex(*taut_grid(4, 1.2), pinned=pinned)
+    problem = me.make_problem(rest, tris, me.NeoHookeanSheet(1.0), pins=pins)
+    x = problem.apply_pins(rest)
+    _, grad, hess = me.assemble(problem, x)
+    # Its rows hold no entry when it is free, and only a 1 on the diagonal
+    # when it is pinned.
+    assert np.diff(hess.indptr)[-3:].tolist() == ([1, 1, 1] if pinned else [0, 0, 0])
+    assert np.array_equal(hess.toarray()[-3:], np.eye(len(x) * 3)[-3:] * pinned)
+    assert np.all(grad[-3:] == 0.0)
+    # With no load such a vertex has no force on it, and the solve leaves
+    # it where it started.
+    x_end, report = me.newton_solve(problem, x)
+    assert report.termination == "converged"
+    assert np.array_equal(x_end[-1], x[-1])
+
+
+def test_gravity_on_a_vertex_in_no_triangle_is_rejected():
+    rest, tris, pins = with_loose_vertex(*taut_grid(4, 1.2), pinned=False)
+    loose = len(rest) - 1
+    with pytest.raises(ValueError, match=f"vertex {loose} is in no triangle"):
+        me.make_problem(
+            rest, tris, me.NeoHookeanSheet(1.0), pins=pins, gravity=[0.0, 0.0, -0.01]
+        )
+    # Pinned, the same vertex is held, and the solve sags the sheet only.
+    pins[loose] = rest[loose]
+    problem = me.make_problem(
+        rest, tris, me.NeoHookeanSheet(1.0), pins=pins, gravity=[0.0, 0.0, -0.01]
+    )
+    x, report = me.newton_solve(problem, problem.apply_pins(rest))
+    assert report.termination == "converged"
+    assert np.array_equal(x[loose], rest[loose])
+
+
 def test_assemble_validates_positions():
     problem = me.make_problem(UNIT_TRIANGLE, TRI, me.NeoHookeanSheet(1.0))
     with pytest.raises(ValueError):

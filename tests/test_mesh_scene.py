@@ -93,6 +93,124 @@ def test_obj_reader_rejects_bad_vertices(tmp_path):
         me.load_obj(nonfinite)
 
 
+def line_by_line_obj(path):
+    """The OBJ reader that converted one line at a time, kept as the
+    oracle of load_obj's arrays and errors."""
+    positions = []
+    triangles = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split()
+            if parts[0] == "v":
+                if len(parts) < 4:
+                    raise ValueError(f"{path}:{lineno}: malformed vertex record")
+                positions.append([float(x) for x in parts[1:4]])
+            elif parts[0] == "f":
+                verts = parts[1:]
+                if len(verts) != 3:
+                    raise ValueError(
+                        f"{path}:{lineno}: only triangle faces are supported, "
+                        f"got {len(verts)} vertices"
+                    )
+                idx = []
+                for v in verts:
+                    i = int(v.split("/")[0])
+                    if i < 1:
+                        raise ValueError(
+                            f"{path}:{lineno}: face indices must be positive"
+                        )
+                    idx.append(i - 1)
+                triangles.append(idx)
+    positions = np.asarray(positions, dtype=float).reshape(-1, 3)
+    triangles = np.asarray(triangles, dtype=int).reshape(-1, 3)
+    if not np.all(np.isfinite(positions)):
+        raise ValueError(f"{path}: non-finite vertex coordinates")
+    if triangles.size and triangles.max() >= len(positions):
+        raise ValueError(f"{path}: face index out of range")
+    return positions, triangles
+
+
+OBJ_CORPUS = [
+    "# every record type the reader meets",
+    "mtllib sheet.mtl",
+    "o sheet",
+    "v 0 0 0",
+    "  v\t1.5 0 0 1.0",
+    "\tv 0 1.5 0",
+    "v 1.5 1.5 0.25 1",
+    "v +3 1_0 -0.0",
+    "v 1e-3 -2.5E2 \u0663.5",
+    "vt 0 0",
+    "vt 1 0",
+    "vn 0 0 1",
+    "",
+    "g group one",
+    "usemtl skin",
+    "s off",
+    "f 1 2 3",
+    "f 2/1/1 4/2/1 3/1/1",
+    "  f\t1//1 +2//1 5//1  ",
+    "#f 9 9 9",
+    "f 4/2 6/1 5",
+    "",
+]
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+def test_obj_reader_matches_line_by_line_reader(tmp_path, newline):
+    path = tmp_path / "corpus.obj"
+    path.write_bytes(newline.join(OBJ_CORPUS).encode("utf-8"))
+    positions, triangles = me.load_obj(path)
+    expected = line_by_line_obj(path)
+    assert positions.shape == (6, 3) and triangles.shape == (4, 3)
+    for got, want in zip((positions, triangles), expected):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+# Faulty OBJ files, each with the line its error must name (None: an error
+# that names no line).  Where a file has several faults, the first in file
+# order is the one reported.
+BAD_OBJS = {
+    "quad": ("v 0 0 0\nv 1 0 0\nv 1 1 0\n# c\n\nf 1 2 3\nf 1 2 3 1\n", 7),
+    "edge": ("v 0 0 0\nv 1 0 0\nf 1 2\n", 3),
+    "zero_index": ("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\nf 0 1 2\n", 5),
+    "negative_index": ("v 0 0 0\nv 1 0 0\nv 0 1 0\nvt 0 0\nf 1/1 -1/1 2/1\n", 5),
+    "short_vertex": ("v 0 0 0\n\n  v 1 0\nf 1 2 3\n", 3),
+    "bare_vertex": ("v 0 0 0\nv\n", 2),
+    "text_coordinate": ("v 0 0 0\nv 1 zero 0\n", None),
+    "hex_coordinate": ("v 0 0 0x10\n", None),
+    "fractional_index": ("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3.0\n", None),
+    "empty_index": ("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 /2 3\n", None),
+    "text_before_quad": ("v 0 0 0\nv 1 y 0\nf 1 2 3 4\n", None),
+    "quad_before_text": ("v 0 0 0\nf 1 2 3 4\nv 1 y 0\n", 2),
+    "zero_before_text": ("v 0 0 0\nf 0 1 2\nf 1 x 2\n", 2),
+    "text_then_zero_in_one_face": ("v 0 0 0\nf 1 x 0\n", None),
+    "zero_then_text_in_one_face": ("v 0 0 0\nf 0 x 1\n", 2),
+    "short_vertex_after_quad": ("f 1 2 3 4\nv 0 0\n", 1),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_OBJS))
+def test_obj_reader_reports_the_first_fault(tmp_path, case):
+    text, lineno = BAD_OBJS[case]
+    path = tmp_path / f"{case}.obj"
+    path.write_text(text)
+    with pytest.raises(ValueError) as expected:
+        line_by_line_obj(path)
+    with pytest.raises(ValueError) as got:
+        me.load_obj(path)
+    assert str(got.value) == str(expected.value)
+    if lineno is None:
+        assert not str(got.value).startswith(f"{path}:")
+    else:
+        assert str(got.value).startswith(f"{path}:{lineno}: ")
+
+
 def test_obj_reader_missing_file(tmp_path):
     with pytest.raises(OSError):
         me.load_obj(tmp_path / "absent.obj")
