@@ -232,9 +232,16 @@ def svd32(f):
 
     # The masked fallbacks below are rare; the common case pays one
     # count_nonzero for each.
-    dead = sa == 0.0
-    if np.count_nonzero(dead):
-        u1 = wa / np.where(dead, 1.0, sa)
+    # Below 2**-1000 the entries of wa may be subnormal, and their norm has
+    # lost too many digits to normalise by: (d, d, 0) with d = 5e-324 has
+    # norm d.  Scaling by a power of two is exact there, so normalise a
+    # rescaled copy.  A zero column gets e1.
+    tiny = sa < 2.0**-1000
+    if np.count_nonzero(tiny):
+        wa = np.where(tiny, wa * 2.0**1000, wa)
+        na = _norm3(wa)
+        dead = na == 0.0
+        u1 = wa / np.where(dead, 1.0, na)
         u1[:, dead] = np.array([[1.0], [0.0], [0.0]])
     else:
         u1 = wa / sa

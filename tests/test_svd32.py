@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from membrane_eig import DegenerateRates, svd32, svd_rates
@@ -93,6 +93,8 @@ def test_input_validation():
         max_size=6,
     )
 )
+# Subnormal entries whose norm rounds to the entry itself.
+@example([5e-324, 0.0, 5e-324, 0.0, 0.0, 0.0])
 def test_reconstruction_total(entries):
     f = np.array(entries).reshape(3, 2)
     s = svd32(f)
