@@ -527,7 +527,8 @@ def _check_fem_descent(rng):
     _, grad, hess = fem_mod.assemble(problem, x)
     if np.max(np.abs(grad)) <= 1e-8:
         return []
-    d = fem_mod._newton_direction(hess, grad)
+    tau = fem_mod._tikhonov_shift(problem.model)
+    d = fem_mod._newton_direction(hess, grad, tau)
     return max(0.0, float(grad @ d)) / max(1.0, float(grad @ grad))
 
 

@@ -10,11 +10,12 @@ Total energy is sum_e area_e * psi(F_e) minus an optional constant
 per-vertex force term.  The Newton solver uses analytically projected
 element Hessians (eigenvalues clamped at zero before the 9x9 pullback), a
 sparse LU factorization of H + tau I (clamping leaves H singular, as at
-flat rest; tau = 1e-8, raised tenfold up to 1e-2 while factoring fails),
-and Armijo backtracking that treats model DomainErrors from trial states
-as step rejections.  A step that no halving can make decrease the energy
-ends the solve as converged when the Newton decrement is at the roundoff
-floor of the energy.
+flat rest; tau is 1e-8 / 6 of the largest eigenvalue of the model's
+rest-state Hessian, so 1e-8 mu for the sheet), and Armijo backtracking
+that treats model DomainErrors from trial states as step rejections.  A
+step that no halving can make decrease the energy ends the solve as
+converged when the Newton decrement is at the roundoff floor of the
+energy.
 
 Pinned vertices are held at their targets by replacing their rows and
 columns of the system with identity and zeroing their gradient entries.
@@ -44,7 +45,13 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .invariants import Invariants
-from .models import DomainError, _assemble_eigensystem, _stress, project_psd
+from .models import (
+    DomainError,
+    _assemble_eigensystem,
+    _stress,
+    energy_eigensystem,
+    project_psd,
+)
 from .svd import svd32
 
 __all__ = [
@@ -75,7 +82,8 @@ class LineSearchFailed(RuntimeError):
 
 
 class LinearSolveFailed(RuntimeError):
-    """The Newton system could not be factorized even with regularization."""
+    """The shifted Newton system could not be factorized, or its solution is
+    not a finite descent direction."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -262,13 +270,17 @@ def make_problem(rest_positions, triangles, model, pins=None, gravity=None):
 
     ``pins`` maps vertex index -> target position (dict or iterable of
     (vertex, target) pairs); each target and ``gravity`` (a force on every
-    vertex) are 3 finite numbers.  Raises ValueError on malformed input, and
-    when gravity is nonzero and an unpinned vertex is in no triangle.
+    vertex) are 3 finite numbers.  Raises ValueError on malformed input,
+    naming the first triangle with a vertex index outside [0, N), and when
+    gravity is nonzero and an unpinned vertex is in no triangle.
     """
     rest_positions = np.asarray(rest_positions, dtype=float)
     elements = np.array(triangles, dtype=int).reshape(-1, 3)
-    dm_inv, area = _rest_frames(rest_positions, elements)
     n = len(rest_positions)
+    bad = np.flatnonzero(((elements < 0) | (elements >= n)).any(axis=1))
+    if bad.size:
+        raise ValueError(f"triangle {bad[0]} has a vertex index outside [0, {n})")
+    dm_inv, area = _rest_frames(rest_positions, elements)
     if pins:
         items = pins.items() if isinstance(pins, dict) else list(pins)
         pv = np.array([int(v) for v, _ in items], dtype=int)
@@ -385,8 +397,6 @@ def assemble(problem, positions, project=True):
     return energy, grad, hess
 
 
-_TIKHONOV_TAUS = (1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2)
-
 # Backtracking line search: Armijo sufficient-decrease constant, step
 # factor per rejection, and rejections allowed per Newton step.
 _ARMIJO_C = 1e-4
@@ -397,19 +407,28 @@ _MAX_HALVINGS = 30
 _DECREMENT_FLOOR = 16.0 * float(np.finfo(float).eps)
 
 
-def _newton_direction(hess, grad):
-    rhs = -grad
-    eye = sp.identity(hess.shape[0], format="csr")
-    for tau in _TIKHONOV_TAUS:
-        try:
-            d = spla.splu((hess + tau * eye).tocsc()).solve(rhs)
-        except RuntimeError:
-            continue
-        if np.all(np.isfinite(d)) and grad @ d <= 0.0:
-            return d
-    raise LinearSolveFailed(
-        "sparse factorization failed for every Tikhonov shift up to 1e-2"
-    )
+def _tikhonov_shift(model):
+    """The Newton system's shift: 1e-8 / 6 of the largest eigenvalue of
+    ``model``'s rest-state Hessian, so it scales with the stiffness.  For
+    the sheet that eigenvalue is 6 mu, and the shift is 1e-8 mu."""
+    rest = energy_eigensystem(model, svd32(np.eye(3, 2)))
+    return (1e-8 / 6.0) * float(np.max(rest.values))
+
+
+def _newton_direction(hess, grad, tau):
+    """Solve (H + tau I) d = -g with one sparse LU factorization.  Raises
+    LinearSolveFailed if the factorization fails or d is not a finite
+    descent direction."""
+    try:
+        lu = spla.splu((hess + tau * sp.identity(hess.shape[0], format="csr")).tocsc())
+    except RuntimeError as err:
+        raise LinearSolveFailed(f"sparse factorization failed: {err}") from err
+    d = lu.solve(-grad)
+    if not np.all(np.isfinite(d)):
+        raise LinearSolveFailed("the Newton direction is not finite")
+    if grad @ d > 0.0:
+        raise LinearSolveFailed("the Newton direction is not a descent direction")
+    return d
 
 
 def newton_solve(problem, x0, config=None, callback=None):
@@ -439,9 +458,11 @@ def newton_solve(problem, x0, config=None, callback=None):
         halvings without an admissible decreasing step above the roundoff
         floor.
     LinearSolveFailed
-        If the Newton system cannot be factorized even with regularization.
+        If the shifted Newton system H + tau I cannot be factorized, or its
+        solution is not a finite descent direction; there is no retry.
     """
     cfg = config or NewtonConfig()
+    tau = _tikhonov_shift(problem.model)
     x = problem.apply_pins(np.asarray(x0, dtype=float))
     history = []
     last_step = 0.0
@@ -467,7 +488,7 @@ def newton_solve(problem, x0, config=None, callback=None):
             termination = "max_iters"
             break
 
-        d = _newton_direction(hess, grad)
+        d = _newton_direction(hess, grad, tau)
         gd = float(grad @ d)
         step = 1.0
         accepted = False

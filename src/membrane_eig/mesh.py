@@ -10,7 +10,8 @@ def load_obj(path):
 
     Only ``v`` and ``f`` records are interpreted; other record types are
     skipped.  Faces must be triangles (an n-gon raises ValueError) and may
-    use the v/vt/vn syntax, of which only the vertex index is kept.
+    use the v/vt/vn syntax, of which only the vertex index is kept.  A face
+    index that names no vertex raises ValueError.
 
     Returns
     -------
@@ -51,8 +52,12 @@ def _raise_first_fault(path, records):
                     f"{where} only triangle faces are supported, "
                     f"got {len(parts) - 1} vertices"
                 )
-            if any(int(c.partition("/")[0]) < 1 for c in parts[1:]):
-                raise ValueError(f"{where} face indices must be positive")
+            for corner in parts[1:]:
+                index = int(corner.partition("/")[0])
+                if index < 1:
+                    raise ValueError(f"{where} face indices must be positive")
+                if index > np.iinfo(int).max:  # int() takes it, numpy cannot
+                    raise ValueError(f"{where} face index out of range")
 
 
 class _FaceBlock(str):

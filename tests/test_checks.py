@@ -130,9 +130,9 @@ def test_witnessless_check_reports_its_largest_error(monkeypatch):
     original = checks.fem_mod._newton_direction
     grads = []
 
-    def ascent_first(hess, grad):
+    def ascent_first(hess, grad, tau):
         grads.append(grad)
-        return grad if len(grads) == 1 else original(hess, grad)
+        return grad if len(grads) == 1 else original(hess, grad, tau)
 
     monkeypatch.setattr(checks.fem_mod, "_newton_direction", ascent_first)
     r = _run_only(monkeypatch, "fem_descent", seed=0, trials=300)

@@ -197,6 +197,18 @@ def test_solve_gravity_on_a_vertex_in_no_triangle_writes_nothing(capsys, stretch
     assert not (stretch_scene.parent / spec["output_dir"]).exists()
 
 
+def test_solve_face_index_too_large_for_int_writes_nothing(capsys, stretch_scene):
+    mesh = stretch_scene.parent / "sheet.obj"
+    lineno = len(mesh.read_text().splitlines()) + 1
+    with open(mesh, "a", encoding="utf-8") as fh:
+        fh.write("f 1 2 99999999999999999999\n")
+    code, out, err = run_cli(capsys, "solve", "--scene", str(stretch_scene))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {mesh}:{lineno}: face index out of range\n"
+    assert not (stretch_scene.parent / "out").exists()
+
+
 # Scene edits that load_scene must reject, each with the name it reports.
 MALFORMED_SCENES = {
     "no_mesh": (lambda spec: spec.pop("mesh"), "'mesh'"),

@@ -1,6 +1,7 @@
 """Triangle membrane elements, assembly, and the projected-Newton solver."""
 
 import dataclasses
+import types
 
 import numpy as np
 import pytest
@@ -95,6 +96,10 @@ def test_make_problem_validation():
         with pytest.raises(ValueError, match="tol"):
             me.NewtonConfig(tol=tol)
     assert me.NewtonConfig(tol=0.0).tol == 0.0
+    outside = r"triangle 1 has a vertex index outside \[0, 3\)"
+    for bad in ([0, 1, -1], [0, 3, 2], [2**40, 0, 1]):
+        with pytest.raises(ValueError, match=outside):
+            me.make_problem(UNIT_TRIANGLE, [TRI[0], bad], me.NeoHookeanSheet(1.0))
 
 
 def test_pin_mask_and_apply():
@@ -463,17 +468,41 @@ def test_linear_solve_failure_surfaces(monkeypatch):
     x = rest * np.array([1.2, 0.9, 1.0])
     problem = me.make_problem(rest, tris, me.NeoHookeanSheet(1.0), pins={0: x[0]})
 
+    calls = []
+
     def always_fails(*args, **kwargs):
+        calls.append(1)
         raise RuntimeError("factorization failed")
 
     monkeypatch.setattr(fem.spla, "splu", always_fails)
-    with pytest.raises(me.LinearSolveFailed):
+    with pytest.raises(me.LinearSolveFailed, match="factorization failed"):
         me.newton_solve(problem, x)
+    assert len(calls) == 1  # no retry with a larger shift
+
+
+@pytest.mark.parametrize(
+    "d, why",
+    [([np.nan, 0.0, 0.0], "not finite"), ([1.0, 0.0, 0.0], "not a descent direction")],
+)
+def test_newton_direction_says_why_it_failed(monkeypatch, d, why):
+    calls = []
+
+    def fixed(matrix):
+        calls.append(matrix)
+        return types.SimpleNamespace(solve=lambda rhs: np.array(d))
+
+    monkeypatch.setattr(fem.spla, "splu", fixed)
+    hess = fem.sp.identity(3, format="csr")
+    with pytest.raises(me.LinearSolveFailed, match=why):
+        fem._newton_direction(hess, np.ones(3), 1e-8)
+    assert len(calls) == 1
 
 
 def test_newton_factors_once_per_step_from_flat_rest(tmp_path, monkeypatch):
     # Flat rest leaves the clamped Hessian singular along the normal modes;
-    # the shifted system factors on the first attempt.
+    # the shifted system factors on the first attempt.  The shift scales
+    # with mu, so a stiff sheet under a heavy load and a soft drape take
+    # their first steps at a sensible size too.
     calls, failures = [], []
     original = fem.spla.splu
 
@@ -489,12 +518,50 @@ def test_newton_factors_once_per_step_from_flat_rest(tmp_path, monkeypatch):
     stretch, x0, _, _ = me.load_scene(build_stretch_scene(tmp_path))
     drape, y0, _, _ = me.load_scene(build_stretch_scene(tmp_path, 6, 6, stretch=1.4))
     drape = dataclasses.replace(drape, gravity=np.array([0.0, 0.0, -0.01]))
-    for problem, start in ((stretch, x0), (drape, y0)):
+    stiff, z0, _, _ = me.load_scene(build_stretch_scene(tmp_path, 14, 14, mu=1000.0))
+    stiff = dataclasses.replace(stiff, gravity=np.array([0.0, 0.0, -10.0]))
+    soft, w0, _, _ = me.load_scene(
+        build_stretch_scene(tmp_path, 20, 20, stretch=1.4, mu=1e-6)
+    )
+    soft = dataclasses.replace(soft, gravity=np.array([0.0, 0.0, -0.01]))
+    iterations = []
+    for problem, start in ((stretch, x0), (drape, y0), (stiff, z0), (soft, w0)):
         calls.clear()
         _, report = me.newton_solve(problem, start)
         assert report.termination == "converged"
         assert not failures
         assert len(calls) == report.iterations > 0
+        iterations.append(report.iterations)
+    # With tau = 1e-8 whatever mu, the soft drape took 12 iterations.
+    assert iterations[3] <= 4
+
+
+def test_newton_iterates_are_scale_free():
+    # Scaling mu, the load and tol by 2^k scales the energy, gradient,
+    # Hessian and shift exactly, so every iterate must be the same bits.
+    rest, tris, pins = taut_grid(20, 1.4)
+
+    def iterates(scale):
+        sheet = me.NeoHookeanSheet(scale)
+        gravity = [0.0, 0.0, -0.01 * scale]
+        problem = me.make_problem(rest, tris, sheet, pins=pins, gravity=gravity)
+        frames = []
+        _, report = me.newton_solve(
+            problem,
+            rest,
+            me.NewtonConfig(tol=1e-8 * scale),
+            callback=lambda it, x: frames.append(x),
+        )
+        assert report.termination == "converged"
+        return frames
+
+    reference = iterates(1.0)
+    assert len(reference) == 11
+    for k in (-20, 10):
+        frames = iterates(2.0**k)
+        assert len(frames) == len(reference)
+        for got, want in zip(frames, reference):
+            assert np.array_equal(got, want)
 
 
 def test_solve_report_to_dict():

@@ -211,6 +211,14 @@ def test_obj_reader_reports_the_first_fault(tmp_path, case):
         assert str(got.value).startswith(f"{path}:{lineno}: ")
 
 
+def test_obj_reader_rejects_a_face_index_too_large_for_int(tmp_path):
+    path = tmp_path / "huge.obj"
+    path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\nf 1 2 99999999999999999999\n")
+    with pytest.raises(ValueError) as got:
+        me.load_obj(path)
+    assert str(got.value) == f"{path}:5: face index out of range"
+
+
 def test_obj_reader_missing_file(tmp_path):
     with pytest.raises(OSError):
         me.load_obj(tmp_path / "absent.obj")
