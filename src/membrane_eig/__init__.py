@@ -27,7 +27,7 @@ __all__ = ["__version__"]
 _modules = [
     importlib.import_module(f"{__name__}.{name}")
     for name in (
-        "bench", "checks", "oracles", "scene", "mesh", "fem", "models", "invariants", "svd"
+        "checks", "oracles", "scene", "mesh", "fem", "models", "invariants", "svd"
     )
 ]
 for _module in _modules:

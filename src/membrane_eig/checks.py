@@ -24,11 +24,15 @@ trials, a NaN counting as the largest, and fails when it exceeds ``tol``.
 A failing report carries that error's witness as its counterexample;
 checks without a sampler carry none.  Kernels are looked up through their
 modules at call time, so a patched kernel is the one checked.
+
+``run_bench`` times the sheet's closed-form spectrum against the FD +
+Jacobi oracle route on the checks' sheet and admissible sampler.
 """
 
 import dataclasses
 import functools
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +44,7 @@ from . import models as mod_mod
 from . import oracles as orc_mod
 from . import svd as svd_mod
 
-__all__ = ["run_checks", "CheckReport"]
+__all__ = ["run_bench", "run_checks", "CheckReport"]
 
 # Floors of the nondegenerate and gapped samplers.
 _MIN_SIGMA2 = 0.05
@@ -554,8 +558,8 @@ def _check_fem_frame_objectivity(rng):
     )
     _, rep1 = fem_mod.newton_solve(problem, x)
     _, rep2 = fem_mod.newton_solve(moved, x @ rot.T + shift)
-    ea = rep1.history[-1][1]
-    eb = rep2.history[-1][1]
+    ea = rep1.history[-1].energy
+    eb = rep2.history[-1].energy
     return [abs(e1 - e2) / max(1.0, abs(e1)), abs(ea - eb) / max(1.0, abs(ea))]
 
 
@@ -613,3 +617,63 @@ def run_checks(seed=42, trials=1000):
         fn(np.random.default_rng(child), trials)
         for fn, child in zip(_CHECKS, children)
     ]
+
+
+# ------------------------------------------------------------------ timing
+
+
+@dataclass(frozen=True)
+class BenchReport:
+    """Mean per-call wall times (ns) for both routes plus their ratio."""
+
+    trials: int
+    analytic_ns: float
+    oracle_ns: float
+    speedup: float
+
+    def table(self):
+        lines = [
+            f"{'route':<28}{'mean ns/call':>16}",
+            f"{'closed-form eigensystem':<28}{self.analytic_ns:>16.0f}",
+            f"{'fd hessian + jacobi':<28}{self.oracle_ns:>16.0f}",
+            f"speedup: {self.speedup:.1f}x over {self.trials} trials",
+        ]
+        return "\n".join(lines)
+
+    def csv(self):
+        return (
+            "route,mean_ns_per_call\n"
+            f"analytic,{self.analytic_ns!r}\n"
+            f"fd_jacobi,{self.oracle_ns!r}\n"
+            f"speedup,{self.speedup!r}\n"
+        )
+
+
+def run_bench(trials=200):
+    """Time both spectrum routes, interleaved F by F, on one admissible
+    ensemble (seed 0) for the checks' sheet: ``_MU`` and its energy
+    ``_sheet_psi``."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    rng = np.random.default_rng(0)
+    fs = [random_f_admissible(rng)[0] for _ in range(trials)]
+
+    # Each F times both routes, alternating which goes first, so a burst of
+    # load falls on both; an untimed call first warms the route's caches.
+    routes = (
+        lambda f: mod_mod.sheet_eigensystem(_MU, svd_mod.svd32(f)),
+        lambda f: orc_mod.jacobi_eigen_sym(orc_mod.fd_hessian6(_sheet_psi, f)),
+    )
+    ns = [0, 0]
+    for k, f in enumerate(fs):
+        for r in (k % 2, 1 - k % 2):
+            routes[r](f)
+            t0 = time.perf_counter_ns()
+            routes[r](f)
+            ns[r] += time.perf_counter_ns() - t0
+    return BenchReport(
+        trials=trials,
+        analytic_ns=ns[0] / trials,
+        oracle_ns=ns[1] / trials,
+        speedup=ns[1] / ns[0],
+    )

@@ -17,8 +17,7 @@ import sys
 
 import numpy as np
 
-from .bench import run_bench
-from .checks import run_checks
+from .checks import run_bench, run_checks
 from .fem import LineSearchFailed, LinearSolveFailed
 from .invariants import DegenerateHessian, invariant_eigensystem
 from .models import DomainError, sheet_eigensystem
@@ -127,8 +126,8 @@ def _cmd_solve(args):
     final = report.history[-1]
     print(f"termination: {report.termination}")
     print(f"iterations: {report.iterations}")
-    print(f"final energy: {final[1]!r}")
-    print(f"final grad norm: {final[2]!r}")
+    print(f"final energy: {final.energy!r}")
+    print(f"final grad norm: {final.grad_norm!r}")
     print(f"output: {output_dir}")
     return 0 if report.termination == "converged" else 1
 

@@ -39,6 +39,7 @@ is the pullback, and are summed into the CSR pattern with ``np.bincount``.
 """
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -215,10 +216,20 @@ class NewtonConfig:
             raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
 
 
+class Iterate(NamedTuple):
+    """One row of a solve trace: the state at the start of a Newton
+    iteration, and the step that led to it (0.0 at iteration 0)."""
+
+    iteration: int
+    energy: float
+    grad_norm: float
+    step: float
+
+
 @dataclass(frozen=True, eq=False)
 class SolveReport:
-    """Solve trace: per-iteration (iteration, energy, grad_norm, step)
-    rows, total Newton iterations, and why the loop stopped."""
+    """Solve trace: one ``Iterate`` row per iteration, total Newton
+    iterations, and why the loop stopped."""
 
     iterations: int
     history: tuple
@@ -228,15 +239,7 @@ class SolveReport:
         return {
             "iterations": self.iterations,
             "termination": self.termination,
-            "history": [
-                {
-                    "iteration": it,
-                    "energy": energy,
-                    "grad_norm": grad_norm,
-                    "step": step,
-                }
-                for (it, energy, grad_norm, step) in self.history
-            ],
+            "history": [dict(zip(Iterate._fields, row)) for row in self.history],
         }
 
 
@@ -477,7 +480,7 @@ def newton_solve(problem, x0, config=None, callback=None):
                 f"initial configuration is inadmissible: {err}"
             ) from err
         grad_norm = float(np.max(np.abs(grad))) if grad.size else 0.0
-        history.append((it, float(energy), grad_norm, last_step))
+        history.append(Iterate(it, float(energy), grad_norm, last_step))
         if callback is not None:
             callback(it, x.copy())
         iterations = it

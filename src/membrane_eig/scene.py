@@ -137,8 +137,8 @@ def solve_and_export(problem, x0, config, output_dir):
         fh.write("\n")
     with open(output_dir / "convergence.csv", "w", encoding="utf-8") as fh:
         fh.write("iter,energy,grad_norm,step\n")
-        for it, energy, grad_norm, step in report.history:
-            fh.write(f"{it},{energy!r},{grad_norm!r},{step!r}\n")
+        for row in report.history:
+            fh.write(f"{row.iteration},{row.energy!r},{row.grad_norm!r},{row.step!r}\n")
     return positions, report
 
 

@@ -18,7 +18,7 @@ README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding=
 MODULES = [
     importlib.import_module(f"membrane_eig.{name}")
     for name in (
-        "bench", "checks", "oracles", "scene", "mesh", "fem", "models", "invariants", "svd"
+        "checks", "oracles", "scene", "mesh", "fem", "models", "invariants", "svd"
     )
 ]
 
