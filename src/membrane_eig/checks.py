@@ -34,6 +34,7 @@ import functools
 import math
 import time
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -604,14 +605,18 @@ def _check_fd_convergence(rng, trials):
 _CHECKS.append(_check_fd_convergence)
 
 
+def _require_trials(trials):
+    if not isinstance(trials, Integral) or isinstance(trials, bool) or trials < 1:
+        raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
+
+
 def run_checks(seed=42, trials=1000):
     """Run every documented property check on seeded random inputs.
 
     Returns a list of CheckReport in fixed registry order.  Each check draws
     from its own RNG substream spawned from ``seed``.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    _require_trials(trials)
     children = np.random.SeedSequence(seed).spawn(len(_CHECKS))
     return [
         fn(np.random.default_rng(child), trials)
@@ -653,8 +658,7 @@ def run_bench(trials=200):
     """Time both spectrum routes, interleaved F by F, on one admissible
     ensemble (seed 0) for the checks' sheet: ``_MU`` and its energy
     ``_sheet_psi``."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    _require_trials(trials)
     rng = np.random.default_rng(0)
     fs = [random_f_admissible(rng)[0] for _ in range(trials)]
 

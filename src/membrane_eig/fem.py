@@ -39,6 +39,7 @@ is the pullback, and are summed into the CSR pattern with ``np.bincount``.
 """
 
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
@@ -203,7 +204,7 @@ class MembraneProblem:
 @dataclass(frozen=True)
 class NewtonConfig:
     """Projected-Newton parameters: stop when max|g| <= ``tol`` (>= 0), or
-    after ``max_iters`` (>= 0) Newton steps."""
+    after ``max_iters`` (an integer >= 0, not a bool) Newton steps."""
 
     tol: float = 1e-8
     max_iters: int = 100
@@ -212,8 +213,9 @@ class NewtonConfig:
         # No gradient meets a NaN tol; tol = 0 ends at the roundoff floor.
         if not self.tol >= 0.0:
             raise ValueError(f"tol must be >= 0, got {self.tol}")
-        if self.max_iters < 0:
-            raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
+        integer = isinstance(self.max_iters, Integral) and not isinstance(self.max_iters, bool)
+        if not integer or self.max_iters < 0:
+            raise ValueError(f"max_iters must be an integer >= 0, got {self.max_iters!r}")
 
 
 class Iterate(NamedTuple):
@@ -278,6 +280,9 @@ def make_problem(rest_positions, triangles, model, pins=None, gravity=None):
     gravity is nonzero and an unpinned vertex is in no triangle.
     """
     rest_positions = np.asarray(rest_positions, dtype=float)
+    shape = rest_positions.shape
+    if len(shape) != 2 or shape[1] != 3 or not np.all(np.isfinite(rest_positions)):
+        raise ValueError(f"rest positions must be a finite (N, 3) array, got {shape}")
     elements = np.array(triangles, dtype=int).reshape(-1, 3)
     n = len(rest_positions)
     bad = np.flatnonzero(((elements < 0) | (elements >= n)).any(axis=1))
@@ -345,9 +350,22 @@ def _energy(problem, positions, psi):
     return energy
 
 
-def total_energy(problem, positions):
-    """Total energy at given positions (no gradient or Hessian)."""
+def _positions(problem, positions):
+    """``positions`` as a float array, or ValueError if it is not a finite
+    (N, 3) array for the problem's N vertices."""
     positions = np.asarray(positions, dtype=float)
+    n = problem.n_vertices
+    if positions.shape != (n, 3):
+        raise ValueError(f"positions must be ({n}, 3), got {positions.shape}")
+    if not np.all(np.isfinite(positions)):
+        raise ValueError("positions have non-finite entries")
+    return positions
+
+
+def total_energy(problem, positions):
+    """Total energy at given positions (no gradient or Hessian).  Raises
+    ValueError unless ``positions`` is a finite (N, 3) array."""
+    positions = _positions(problem, positions)
     _, d = _element_derivs(problem, positions)
     return _energy(problem, positions, d.psi)
 
@@ -364,13 +382,8 @@ def assemble(problem, positions, project=True):
     -------
     (energy, gradient, hessian) : (float, (3N,) ndarray, (3N, 3N) csr_matrix)
     """
-    positions = np.asarray(positions, dtype=float)
+    positions = _positions(problem, positions)
     n = problem.n_vertices
-    if positions.shape != (n, 3):
-        raise ValueError(f"positions must be ({n}, 3), got {positions.shape}")
-    if not np.all(np.isfinite(positions)):
-        raise ValueError("positions have non-finite entries")
-
     f, d = _element_derivs(problem, positions)
     energy = _energy(problem, positions, d.psi)
     svd = svd32(f)

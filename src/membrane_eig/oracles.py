@@ -143,13 +143,15 @@ def jacobi_eigen_sym(a):
     Raises
     ------
     ValueError
-        If a is not a nonempty square matrix.
+        If a is not a nonempty square matrix, or has a non-finite entry.
     NotSymmetric
         If max|a - a^T| > 1e-10.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix has non-finite entries")
     n = a.shape[0]
     if np.max(np.abs(a - a.T)) > 1e-10:
         raise NotSymmetric("matrix is not symmetric to 1e-10")

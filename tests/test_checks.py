@@ -49,6 +49,18 @@ def test_run_checks_rejects_bad_trials():
         me.run_checks(trials=0)
 
 
+@pytest.mark.parametrize("trials", [2.5, True, "3"])
+def test_run_checks_rejects_non_integer_trials(trials):
+    with pytest.raises(ValueError, match="integer"):
+        me.run_checks(trials=trials)
+
+
+@pytest.mark.parametrize("trials", [0, 2.5, True])
+def test_run_bench_rejects_bad_trials(trials):
+    with pytest.raises(ValueError, match="integer"):
+        me.run_bench(trials=trials)
+
+
 def test_report_to_dict_round_trip():
     report = me.CheckReport(
         name="demo", trials=10, max_error=1e-12, tol=1e-10, passed=True,

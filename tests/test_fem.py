@@ -100,6 +100,33 @@ def test_make_problem_validation():
     for bad in ([0, 1, -1], [0, 3, 2], [2**40, 0, 1]):
         with pytest.raises(ValueError, match=outside):
             me.make_problem(UNIT_TRIANGLE, [TRI[0], bad], me.NeoHookeanSheet(1.0))
+    # A NaN rest vertex would give a NaN area, which passes the area floor;
+    # an (N, 2) array would fail inside the rest-frame arithmetic.
+    for rest in (UNIT_TRIANGLE * np.nan, UNIT_TRIANGLE[:, :2]):
+        with pytest.raises(ValueError, match=r"finite \(N, 3\) array"):
+            me.make_problem(rest, TRI, me.NeoHookeanSheet(1.0))
+
+
+@pytest.mark.parametrize("max_iters", [2.5, True, "3"])
+def test_newton_config_max_iters_must_be_an_integer(max_iters):
+    for bad in (max_iters, -1):
+        with pytest.raises(ValueError, match="max_iters"):
+            me.NewtonConfig(max_iters=bad)
+    assert me.NewtonConfig(max_iters=np.int64(3)).max_iters == 3
+
+
+def test_total_energy_checks_positions_like_assemble():
+    rest, tris = me.grid_mesh(2, 2)
+    problem = me.make_problem(rest, tris, me.NeoHookeanSheet(1.0), gravity=[0.0, 0.0, -1.0])
+    assert me.total_energy(problem, rest) == 0.0
+    # A tenth row would otherwise enter the load term, and NaN the energy.
+    for bad, why in (
+        (np.vstack([rest, [0.0, 0.0, 100.0]]), r"positions must be \(9, 3\)"),
+        (np.full_like(rest, np.nan), "non-finite"),
+    ):
+        for fn in (me.total_energy, me.assemble):
+            with pytest.raises(ValueError, match=why):
+                fn(problem, bad)
 
 
 def test_pin_mask_and_apply():
@@ -562,6 +589,17 @@ def test_newton_iterates_are_scale_free():
         assert len(frames) == len(reference)
         for got, want in zip(frames, reference):
             assert np.array_equal(got, want)
+
+
+def test_solve_history_rows_are_named_iterates():
+    rest, tris = me.grid_mesh(2, 2)
+    problem = me.make_problem(rest, tris, me.NeoHookeanSheet(1.0), pins={0: rest[0]})
+    _, report = me.newton_solve(problem, rest * 1.1)
+    first, last = report.history[0], report.history[-1]
+    assert isinstance(last, fem.Iterate)
+    assert (first.iteration, first.step) == (0, 0.0)
+    assert last.iteration == report.iterations
+    assert report.to_dict()["history"][-1] == last._asdict()
 
 
 def test_solve_report_to_dict():
