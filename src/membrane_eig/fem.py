@@ -213,9 +213,9 @@ class NewtonConfig:
         # No gradient meets a NaN tol; tol = 0 ends at the roundoff floor.
         if not self.tol >= 0.0:
             raise ValueError(f"tol must be >= 0, got {self.tol}")
-        integer = isinstance(self.max_iters, Integral) and not isinstance(self.max_iters, bool)
-        if not integer or self.max_iters < 0:
-            raise ValueError(f"max_iters must be an integer >= 0, got {self.max_iters!r}")
+        n = self.max_iters
+        if not isinstance(n, Integral) or isinstance(n, bool) or n < 0:
+            raise ValueError(f"max_iters must be an integer >= 0, got {n!r}")
 
 
 class Iterate(NamedTuple):
@@ -282,7 +282,7 @@ def make_problem(rest_positions, triangles, model, pins=None, gravity=None):
     rest_positions = np.asarray(rest_positions, dtype=float)
     shape = rest_positions.shape
     if len(shape) != 2 or shape[1] != 3 or not np.all(np.isfinite(rest_positions)):
-        raise ValueError(f"rest positions must be a finite (N, 3) array, got {shape}")
+        raise ValueError("rest positions must be a finite (N, 3) array")
     elements = np.array(triangles, dtype=int).reshape(-1, 3)
     n = len(rest_positions)
     bad = np.flatnonzero(((elements < 0) | (elements >= n)).any(axis=1))

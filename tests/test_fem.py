@@ -117,7 +117,8 @@ def test_newton_config_max_iters_must_be_an_integer(max_iters):
 
 def test_total_energy_checks_positions_like_assemble():
     rest, tris = me.grid_mesh(2, 2)
-    problem = me.make_problem(rest, tris, me.NeoHookeanSheet(1.0), gravity=[0.0, 0.0, -1.0])
+    gravity = [0.0, 0.0, -1.0]
+    problem = me.make_problem(rest, tris, me.NeoHookeanSheet(1.0), gravity=gravity)
     assert me.total_energy(problem, rest) == 0.0
     # A tenth row would otherwise enter the load term, and NaN the energy.
     for bad, why in (
