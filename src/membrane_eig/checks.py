@@ -605,18 +605,21 @@ def _check_fd_convergence(rng, trials):
 _CHECKS.append(_check_fd_convergence)
 
 
-def _require_trials(trials):
-    if not isinstance(trials, Integral) or isinstance(trials, bool) or trials < 1:
-        raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
+def _require_int(name, value, least):
+    if not isinstance(value, Integral) or isinstance(value, bool) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def run_checks(seed=42, trials=1000):
     """Run every documented property check on seeded random inputs.
 
     Returns a list of CheckReport in fixed registry order.  Each check draws
-    from its own RNG substream spawned from ``seed``.
+    from its own RNG substream spawned from ``seed``.  Raises ValueError
+    unless ``seed`` is an integer >= 0 and ``trials`` one >= 1 (neither a
+    bool).
     """
-    _require_trials(trials)
+    _require_int("seed", seed, 0)
+    _require_int("trials", trials, 1)
     children = np.random.SeedSequence(seed).spawn(len(_CHECKS))
     return [
         fn(np.random.default_rng(child), trials)
@@ -658,7 +661,7 @@ def run_bench(trials=200):
     """Time both spectrum routes, interleaved F by F, on one admissible
     ensemble (seed 0) for the checks' sheet: ``_MU`` and its energy
     ``_sheet_psi``."""
-    _require_trials(trials)
+    _require_int("trials", trials, 1)
     rng = np.random.default_rng(0)
     fs = [random_f_admissible(rng)[0] for _ in range(trials)]
 

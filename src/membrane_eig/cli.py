@@ -34,15 +34,24 @@ def _parse_f(text):
     return np.array([float(p) for p in parts]).reshape(3, 2)
 
 
-def _trials(text):
-    # --trials: an integer >= 1, or an argparse error (exit 2).
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
-    return value
+def _integer_at_least(least):
+    # An argparse type: an integer >= least, or an argparse error (exit 2).
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < least:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer >= {least}, got {text!r}"
+            )
+        return value
+
+    return parse
+
+
+_seed = _integer_at_least(0)
+_trials = _integer_at_least(1)
 
 
 def _format_eig(label, f, eig, as_json):
@@ -159,7 +168,7 @@ def _build_parser():
     p_eigs.set_defaults(fn=_cmd_eigs)
 
     p_check = sub.add_parser("check", help="run the verification suite")
-    p_check.add_argument("--seed", type=int, default=42)
+    p_check.add_argument("--seed", type=_seed, default=42)
     p_check.add_argument("--trials", type=_trials, default=1000)
     p_check.add_argument("--json", action="store_true")
     p_check.set_defaults(fn=_cmd_check)

@@ -36,6 +36,14 @@ and in ``assemble`` one stacked ``svd32``, one stacked eigensystem and its
 projection.  Element Hessians are formed as G^T diag(area lambda) G with
 G = Q J, where the rows of Q (6x6) are the flattened eigenmatrices and J
 is the pullback, and are summed into the CSR pattern with ``np.bincount``.
+
+Loading.  This module, like the package, imports numpy only: scipy.sparse
+and scipy.sparse.linalg load at the first ``assemble`` or
+``_newton_direction`` call (so at the first ``newton_solve`` or
+``solve_scene``), or when ``fem.sp`` or ``fem.spla`` is first read, and
+stay bound as those module globals.  A fresh ``import membrane_eig`` takes
+a median 0.12 s, against 0.42 s when it loaded scipy (Python 3.11.7, numpy
+2.4.6, scipy 1.17.1, 2-core x86-64 Linux).
 """
 
 from dataclasses import dataclass, field
@@ -43,8 +51,6 @@ from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .invariants import Invariants
 from .models import (
@@ -68,6 +74,25 @@ __all__ = [
 ]
 
 AREA_EPS = 1e-12
+
+
+def _load_scipy():
+    """Bind scipy.sparse and scipy.sparse.linalg to this module's globals
+    ``sp`` and ``spla``, unless a sparse call has bound them already.  They
+    stay module globals, looked up at each call, so that a caller can
+    replace ``fem.spla`` (or patch ``fem.spla.splu``) after the load."""
+    global sp, spla
+    if "spla" not in globals():
+        import scipy.sparse as sp
+        import scipy.sparse.linalg as spla
+
+
+def __getattr__(name):
+    # ``fem.sp`` and ``fem.spla`` read before the first sparse call.
+    if name in ("sp", "spla"):
+        _load_scipy()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class DegenerateTriangle(ValueError):
@@ -270,20 +295,47 @@ def _rest_frames(rest_positions, elements):
     return dm_inv / det[:, None, None], area
 
 
+def _pin_vertex(k, v):
+    """Pin ``k``'s vertex ``v`` as an int, or ValueError if it is a bool or
+    not a whole number."""
+    if not isinstance(v, (bool, np.bool_)):
+        try:
+            if v == int(v):
+                return int(v)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ValueError(f"pin {k} has vertex {v!r}, not an integer index")
+
+
 def make_problem(rest_positions, triangles, model, pins=None, gravity=None):
     """Build a problem's rest data and validate its pins and loads.
 
     ``pins`` maps vertex index -> target position (dict or iterable of
     (vertex, target) pairs); each target and ``gravity`` (a force on every
     vertex) are 3 finite numbers.  Raises ValueError on malformed input,
-    naming the first triangle with a vertex index outside [0, N), and when
-    gravity is nonzero and an unpinned vertex is in no triangle.
+    naming the first triangle or pin with a bool or fractional vertex
+    index and the first triangle with a vertex index outside [0, N), and
+    when gravity is nonzero and an unpinned vertex is in no triangle.
     """
     rest_positions = np.asarray(rest_positions, dtype=float)
     shape = rest_positions.shape
     if len(shape) != 2 or shape[1] != 3 or not np.all(np.isfinite(rest_positions)):
         raise ValueError("rest positions must be a finite (N, 3) array")
-    elements = np.array(triangles, dtype=int).reshape(-1, 3)
+    elements = np.asarray(triangles)
+    kind = elements.dtype.kind
+    if kind in "bf":  # bools and fractions would cast to indices silently
+        rows = elements.reshape(-1, 3)
+        if kind == "b":
+            bad = np.arange(len(rows))
+        else:
+            whole = np.isfinite(rows) & (rows == np.trunc(rows))
+            bad = np.flatnonzero(~whole.all(axis=1))
+        if bad.size:
+            raise ValueError(
+                f"triangle {bad[0]} has vertex indices {rows[bad[0]].tolist()}, "
+                "not integers"
+            )
+    elements = elements.astype(int).reshape(-1, 3)
     n = len(rest_positions)
     bad = np.flatnonzero(((elements < 0) | (elements >= n)).any(axis=1))
     if bad.size:
@@ -291,7 +343,7 @@ def make_problem(rest_positions, triangles, model, pins=None, gravity=None):
     dm_inv, area = _rest_frames(rest_positions, elements)
     if pins:
         items = pins.items() if isinstance(pins, dict) else list(pins)
-        pv = np.array([int(v) for v, _ in items], dtype=int)
+        pv = np.array([_pin_vertex(k, v) for k, (v, _) in enumerate(items)], dtype=int)
         pt = np.array([np.asarray(t, dtype=float) for _, t in items])
         if len(np.unique(pv)) != len(pv):
             raise ValueError("duplicate pinned vertex")
@@ -403,6 +455,7 @@ def assemble(problem, positions, project=True):
         grad -= np.tile(problem.gravity, n)
     grad[problem._pinned] = 0.0
 
+    _load_scipy()
     pattern = problem._pattern
     data = np.bincount(pattern.slots, weights=he.ravel(), minlength=pattern.nnz + 1)
     data = data[: pattern.nnz]
@@ -435,6 +488,7 @@ def _newton_direction(hess, grad, tau):
     """Solve (H + tau I) d = -g with one sparse LU factorization.  Raises
     LinearSolveFailed if the factorization fails or d is not a finite
     descent direction."""
+    _load_scipy()
     try:
         lu = spla.splu((hess + tau * sp.identity(hess.shape[0], format="csr")).tocsc())
     except RuntimeError as err:

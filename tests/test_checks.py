@@ -55,6 +55,13 @@ def test_run_checks_rejects_non_integer_trials(trials):
         me.run_checks(trials=trials)
 
 
+@pytest.mark.parametrize("seed", [-1, 2.5, True, "3", None])
+def test_run_checks_rejects_bad_seed(seed):
+    # True would run as seed 1, and 2.5 fail inside numpy with a TypeError.
+    with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+        me.run_checks(seed=seed, trials=1)
+
+
 @pytest.mark.parametrize("trials", [0, 2.5, True])
 def test_run_bench_rejects_bad_trials(trials):
     with pytest.raises(ValueError, match="integer"):

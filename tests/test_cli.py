@@ -279,6 +279,16 @@ def test_zero_trials_exit_two(capsys, command):
     assert "error: argument --trials" in captured.err
 
 
+@pytest.mark.parametrize("seed", ["-1", "2.5", "x"])
+def test_bad_seed_exit_two(capsys, seed):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["check", "--seed", seed, "--trials", "1"])
+    captured = capsys.readouterr()
+    assert exit_info.value.code == 2
+    assert captured.out == ""
+    assert "error: argument --seed: expected an integer >= 0" in captured.err
+
+
 def test_bench_output(capsys):
     code, out, _ = run_cli(capsys, "bench", "--trials", "3")
     assert code == 0
@@ -326,3 +336,24 @@ def test_package_import_leaves_the_cli_unloaded():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == "False\n"
+
+
+def test_import_and_eigs_leave_scipy_unloaded():
+    # scipy.sparse loads at the first sparse call, or on reading fem.spla.
+    code = (
+        "import sys, membrane_eig\n"
+        "print('scipy.sparse' in sys.modules)\n"
+        "from membrane_eig.cli import main\n"
+        f"main(['eigs', '--f', '{DIAG21}', '--json'])\n"
+        "print('scipy.sparse' in sys.modules)\n"
+        "membrane_eig.fem.spla\n"
+        "print('scipy.sparse.linalg' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env
+    )
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()
+    assert (lines[0], lines[-2], lines[-1]) == ("False", "False", "True")
+    assert '"eigenvalues"' in result.stdout

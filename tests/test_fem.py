@@ -107,6 +107,47 @@ def test_make_problem_validation():
             me.make_problem(rest, TRI, me.NeoHookeanSheet(1.0))
 
 
+@pytest.mark.parametrize(
+    "tris, first",
+    [([[0.7, 1, 2]], 0), ([TRI[0], [0.0, 1.0, np.nan]], 1), ([[True, False, True]], 0)],
+)
+def test_make_problem_rejects_fractional_and_bool_triangles(tris, first):
+    # Cast to int, [0.7, 1, 2] would have become [0, 1, 2].
+    with pytest.raises(ValueError, match=f"triangle {first} has vertex indices .* not integers"):
+        me.make_problem(UNIT_TRIANGLE, tris, me.NeoHookeanSheet(1.0))
+
+
+@pytest.mark.parametrize("vertex", [1.9, True, np.True_, np.nan, "1"])
+def test_make_problem_rejects_fractional_and_bool_pins(vertex):
+    # Cast to int, 1.9 and True would both have pinned vertex 1.
+    pins = [(0, UNIT_TRIANGLE[0]), (vertex, UNIT_TRIANGLE[1])]
+    with pytest.raises(ValueError, match="pin 1 has vertex .* not an integer index"):
+        me.make_problem(UNIT_TRIANGLE, TRI, me.NeoHookeanSheet(1.0), pins=pins)
+
+
+def test_make_problem_takes_whole_float_and_numpy_indices():
+    problem = me.make_problem(
+        UNIT_TRIANGLE,
+        np.array([[0.0, 1.0, 2.0]]),
+        me.NeoHookeanSheet(1.0),
+        pins=[(np.int32(0), UNIT_TRIANGLE[0]), (2.0, UNIT_TRIANGLE[2])],
+    )
+    assert problem.elements.dtype == int and problem.elements.tolist() == TRI
+    assert problem.pin_vertices.tolist() == [0, 2]
+
+
+def test_fem_serves_sp_and_spla_and_no_other_name():
+    import scipy.sparse
+    import scipy.sparse.linalg
+
+    assert fem.spla is scipy.sparse.linalg
+    assert fem.sp is scipy.sparse
+    # Module globals, which a caller can replace: fem looks them up per call.
+    assert vars(fem)["spla"] is scipy.sparse.linalg
+    with pytest.raises(AttributeError, match="no_such_name"):
+        fem.no_such_name
+
+
 @pytest.mark.parametrize("max_iters", [2.5, True, "3"])
 def test_newton_config_max_iters_must_be_an_integer(max_iters):
     for bad in (max_iters, -1):
