@@ -4,21 +4,29 @@
 one CheckReport per check.  Failures are reported with the worst
 counterexample, never raised.
 
-Every F sample comes from one drawer, ``_draw(rng, accept)``: it draws raw
-Fs (entries uniform in (-2, 2)) and returns the first pair (f, svd32(f))
-whose decomposition passes ``accept``, so a trial never decomposes its F
-again.  The floors are such conditions: sigma2 > 0.05 for nondegeneracy,
-also sigma1 - sigma2 > 0.05 where SVD rates must exist, and I3 > 0.05 for
-sheet checks.
+Every F sample comes from one drawer, ``_draw(rng, n, accept)``.  In
+each round it draws the n - got raw Fs still missing (entries uniform in
+(-2, 2)) as one (n - got, 3, 2) stack, decomposes the stack with one
+``svd32`` call, and keeps, in draw order, the pairs (f, svd32(f)) whose
+decomposition passes ``accept``, until it has n; so a trial never
+decomposes its F again.  The generator fills a stack with the doubles that
+one draw at a time would take, and a stack member's decomposition equals
+its lone decomposition bitwise, so the n pairs and the generator's final
+state are those of n single draws.  With ``n=None`` the drawer draws a
+stack of one and returns its one pair.  The floors are such conditions:
+sigma2 > 0.05 for nondegeneracy, also sigma1 - sigma2 > 0.05 where SVD
+rates must exist, and I3 > 0.05 for sheet checks.
 
 A check is one trial, registered in definition order by the decorator
-``_check(tol, sample=None, share=1)``.  The check runs max(1, trials //
-share) trials; mesh- and solver-level checks use a share above 1, and each
-report records its actual count.  ``sample(rng)`` returns the trial's
-arguments as a tuple whose first item is the witness, and the trial is
-called as ``trial(rng, *sample(rng))``: ``trial(rng, f, s)`` for the
-F-sampled checks, ``trial(rng, a)`` for the Jacobi oracle's symmetric
-matrices, and ``trial(rng)`` when there is no sampler.  A trial returns one
+``_check(tol, sample=None, share=1)``.  The check runs n = max(1, trials
+// share) trials; mesh- and solver-level checks use a share above 1, and
+each report records its actual count.  Before the first trial,
+``sample(rng, n)`` draws all n samples, each the trial's arguments as a
+tuple whose first item is the witness, so a trial's own draws from
+``rng`` follow the whole ensemble.  Trial k is called as ``trial(rng,
+*samples[k])``: ``trial(rng, f, s)`` for the F-sampled checks,
+``trial(rng, a)`` for the Jacobi oracle's symmetric matrices, and
+``trial(rng)`` when there is no sampler.  A trial returns one
 error or a list of errors.  The report keeps the largest error over all
 trials, a NaN counting as the largest, and fails when it exceeds ``tol``.
 A failing report carries that error's witness as its counterexample;
@@ -109,9 +117,9 @@ def _check(tol, sample=None, share=1):
         @functools.wraps(trial)
         def run(rng, trials):
             n = max(1, trials // share)
+            samples = [()] * n if sample is None else sample(rng, n)
             errors = []
-            for _ in range(n):
-                args = () if sample is None else sample(rng)
+            for args in samples:
                 witness = args[0] if args else None
                 out = trial(rng, *args)
                 errors.extend((float(e), witness) for e in np.atleast_1d(out))
@@ -123,35 +131,48 @@ def _check(tol, sample=None, share=1):
     return register
 
 
-def random_f(rng):
-    """A raw test gradient: 3x2 with entries uniform in (-2, 2)."""
-    return rng.uniform(-2.0, 2.0, size=(3, 2))
+def random_f(rng, n=None):
+    """A raw test gradient: 3x2 with entries uniform in (-2, 2), or an
+    (n, 3, 2) stack of n of them."""
+    return rng.uniform(-2.0, 2.0, size=(3, 2) if n is None else (n, 3, 2))
 
 
-def _draw(rng, accept=lambda s: True):
-    """Draw raw Fs until ``accept(svd32(f))``; return the pair (f, svd32(f))."""
-    while True:
-        f = random_f(rng)
+def _draw(rng, n=None, accept=None):
+    """Draw raw Fs until n pass ``accept``; return their n pairs
+    (f, svd32(f)) in draw order, or one pair when ``n`` is None.
+
+    Each round draws and decomposes the n - got candidates still missing
+    as one stack, and ``accept`` maps the stack's decomposition to a mask.
+    """
+    if n is None:
+        return _draw(rng, 1, accept)[0]
+    pairs = []
+    while len(pairs) < n:
+        f = random_f(rng, n - len(pairs))
         s = svd_mod.svd32(f)
-        if accept(s):
-            return f, s
+        kept = range(len(f)) if accept is None else np.flatnonzero(accept(s))
+        pairs += [(f[k], svd_mod._member(s, k)) for k in kept]
+    return pairs
 
 
-def random_f_nondegenerate(rng):
-    """A pair (f, svd32(f)) with sigma2 > 0.05."""
-    return _draw(rng, lambda s: s.sigma[1] > _MIN_SIGMA2)
+def random_f_nondegenerate(rng, n=None):
+    """A pair (f, svd32(f)) with sigma2 > 0.05, or n of them."""
+    return _draw(rng, n, lambda s: s.sigma[1] > _MIN_SIGMA2)
 
 
-def random_f_gapped(rng):
+def random_f_gapped(rng, n=None):
     # Nondegenerate and with sigma1 - sigma2 > 0.05, so the rates exist.
     return _draw(
-        rng, lambda s: s.sigma[1] > _MIN_SIGMA2 and s.sigma[0] - s.sigma[1] > _MIN_GAP
+        rng,
+        n,
+        lambda s: (s.sigma[1] > _MIN_SIGMA2) & (s.sigma[0] - s.sigma[1] > _MIN_GAP),
     )
 
 
-def random_f_admissible(rng, min_i3=0.05):
-    """A pair (f, svd32(f)) with I3 = sigma1*sigma2 above ``min_i3``."""
-    return _draw(rng, lambda s: s.sigma[0] * s.sigma[1] > min_i3)
+def random_f_admissible(rng, n=None, min_i3=0.05):
+    """A pair (f, svd32(f)) with I3 = sigma1*sigma2 above ``min_i3``, or n
+    of them."""
+    return _draw(rng, n, lambda s: s.sigma[0] * s.sigma[1] > min_i3)
 
 
 def _unit_fdot(rng):
@@ -567,9 +588,11 @@ def _check_fem_frame_objectivity(rng):
 # -------------------------------------------------------------- oracle checks
 
 
-def _random_sym6(rng):
-    a = rng.uniform(-2.0, 2.0, size=(6, 6))
-    return (0.5 * (a + a.T),)
+def _random_sym6(rng, n=None):
+    if n is None:
+        return _random_sym6(rng, 1)[0]
+    a = rng.uniform(-2.0, 2.0, size=(n, 6, 6))
+    return [(sym,) for sym in 0.5 * (a + np.swapaxes(a, -1, -2))]
 
 
 @_check(1e-10, _random_sym6, share=10)
@@ -590,8 +613,7 @@ def _check_fd_convergence(rng, trials):
     n = min(trials, 50)
     steps = (1e-3, 5e-4, 2.5e-4)
     worst = np.zeros(len(steps))
-    for _ in range(n):
-        f, s = random_f_admissible(rng, min_i3=0.3)
+    for f, s in random_f_admissible(rng, min_i3=0.3, n=n):
         g = mod_mod.energy_gradient(_SHEET, s, f)
         fds = [orc_mod.fd_gradient(_sheet_psi, f, h=h) for h in steps]
         worst = np.maximum(worst, [np.max(np.abs(fd - g)) for fd in fds])
@@ -663,7 +685,7 @@ def run_bench(trials=200):
     ``_sheet_psi``."""
     _require_int("trials", trials, 1)
     rng = np.random.default_rng(0)
-    fs = [random_f_admissible(rng)[0] for _ in range(trials)]
+    fs = [f for f, _ in random_f_admissible(rng, n=trials)]
 
     # Each F times both routes, alternating which goes first, so a burst of
     # load falls on both; an untimed call first warms the route's caches.

@@ -1,5 +1,6 @@
 """The self-check registry: determinism and mutation sensitivity."""
 
+import functools
 import importlib
 
 import numpy as np
@@ -163,25 +164,70 @@ def test_witnessless_check_reports_its_largest_error(monkeypatch):
 
 
 def test_trials_reuse_their_samples_decomposition(monkeypatch):
-    # eigen_unit_norm decomposes nothing but its sample, so every svd32
-    # call is one of the drawer's, one per raw F drawn.
-    draws, decompositions = [], []
+    # eigen_unit_norm decomposes nothing but its samples, drawn before its
+    # first trial: every candidate is decomposed exactly once, one svd32
+    # call per round of candidates, and each trial gets its F's own svd32.
+    rounds, decomposed, seen = [], [], []
     random_f, svd32 = checks.random_f, checks.svd_mod.svd32
+    eigensystem = checks.inv_mod.invariant_eigensystem
 
-    def counted_draw(rng):
-        draws.append(1)
-        return random_f(rng)
+    def counted_draw(rng, n=None):
+        rounds.append(random_f(rng, n))
+        return rounds[-1]
 
     def counted_svd(f):
-        decompositions.append(1)
+        decomposed.append(np.shape(f)[:-2])
         return svd32(f)
+
+    def recorded_eigensystem(which, s):
+        seen.append(s)
+        return eigensystem(which, s)
 
     monkeypatch.setattr(checks, "random_f", counted_draw)
     monkeypatch.setattr(checks.svd_mod, "svd32", counted_svd)
+    monkeypatch.setattr(checks.inv_mod, "invariant_eigensystem", recorded_eigensystem)
     r = _run_only(monkeypatch, "eigen_unit_norm", seed=7, trials=30)
     assert r.passed and r.trials == 30
-    assert len(draws) >= 30
-    assert len(decompositions) == len(draws)
+    # One stacked svd32 call per round, on exactly that round's candidates.
+    assert decomposed == [f.shape[:-2] for f in rounds]
+    candidates = np.concatenate(rounds)
+    accepted = candidates[svd32(candidates).sigma[1] > checks._MIN_SIGMA2]
+    # Three eigensystems (I1, I2, I3) per trial, all on the trial's sample.
+    assert len(seen) == 90 and len(accepted) == 30
+    for f, s in zip(np.repeat(accepted, 3, axis=0), seen):
+        expected = svd32(f)
+        assert s.sigma == expected.sigma
+        assert np.array_equal(s.u, expected.u)
+        assert np.array_equal(s.v, expected.v)
+
+
+@pytest.mark.parametrize(
+    "sampler",
+    [
+        checks.random_f_nondegenerate,
+        checks.random_f_gapped,
+        checks.random_f_admissible,
+        functools.partial(checks.random_f_admissible, min_i3=0.3),
+        # Accepts under half its candidates, so k = 100 takes several rounds.
+        functools.partial(checks.random_f_admissible, min_i3=3.0),
+        checks._random_sym6,
+    ],
+    ids=["nondegenerate", "gapped", "admissible", "admissible_0.3", "admissible_3", "sym6"],
+)
+@pytest.mark.parametrize("k", [1, 7, 100])
+def test_stacked_draw_equals_single_draws(sampler, k):
+    # n stacked draws give bitwise the pairs of n single draws, and leave
+    # the generator where they leave it.
+    stacked, single = np.random.default_rng(k), np.random.default_rng(k)
+    drawn = sampler(stacked, n=k)
+    assert len(drawn) == k
+    for got, want in zip(drawn, (sampler(single) for _ in range(k))):
+        assert np.array_equal(got[0], want[0])
+        if len(want) == 2:
+            assert got[1].sigma == want[1].sigma
+            assert np.array_equal(got[1].u, want[1].u)
+            assert np.array_equal(got[1].v, want[1].v)
+    assert stacked.bit_generator.state == single.bit_generator.state
 
 
 def test_registry_is_every_check_in_definition_order():
