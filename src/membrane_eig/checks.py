@@ -6,32 +6,30 @@ counterexample, never raised.
 
 Every F sample comes from one drawer, ``_draw(rng, n, accept)``.  In
 each round it draws the n - got raw Fs still missing (entries uniform in
-(-2, 2)) as one (n - got, 3, 2) stack, decomposes the stack with one
-``svd32`` call, and keeps, in draw order, the pairs (f, svd32(f)) whose
-decomposition passes ``accept``, until it has n; so a trial never
-decomposes its F again.  The generator fills a stack with the doubles that
-one draw at a time would take, and a stack member's decomposition equals
-its lone decomposition bitwise, so the n pairs and the generator's final
-state are those of n single draws.  With ``n=None`` the drawer draws a
-stack of one and returns its one pair.  The floors are such conditions:
-sigma2 > 0.05 for nondegeneracy, also sigma1 - sigma2 > 0.05 where SVD
-rates must exist, and I3 > 0.05 for sheet checks.
+(-2, 2)) as one stack, decomposes it with one ``svd32`` call for
+``accept``, and keeps, in draw order, the Fs that pass, until it has n.
+It returns the (n, 3, 2) stack f and svd32(f), which, with the
+generator's final state, equal bitwise what n single draws would give.
+The floors are such conditions: sigma2 > 0.05 for nondegeneracy, also
+sigma1 - sigma2 > 0.05 where SVD rates must exist, and I3 > 0.05 for
+sheet checks.
 
-A check is one trial, registered in definition order by the decorator
-``_check(tol, sample=None, share=1)``.  The check runs n = max(1, trials
-// share) trials; mesh- and solver-level checks use a share above 1, and
-each report records its actual count.  Before the first trial,
-``sample(rng, n)`` draws all n samples, each the trial's arguments as a
-tuple whose first item is the witness, so a trial's own draws from
-``rng`` follow the whole ensemble.  Trial k is called as ``trial(rng,
-*samples[k])``: ``trial(rng, f, s)`` for the F-sampled checks,
-``trial(rng, a)`` for the Jacobi oracle's symmetric matrices, and
-``trial(rng)`` when there is no sampler.  A trial returns one
-error or a list of errors.  The report keeps the largest error over all
-trials, a NaN counting as the largest, and fails when it exceeds ``tol``.
-A failing report carries that error's witness as its counterexample;
-checks without a sampler carry none.  Kernels are looked up through their
-modules at call time, so a patched kernel is the one checked.
+A check is registered in definition order by ``_check(tol, sample=None,
+share=1)`` and runs n = max(1, trials // share) trials; mesh- and
+solver-level checks use a share above 1, and each report records its
+count.  A sampled check is one call on its whole ensemble,
+``check(rng, *sample(rng, n))``: ``check(rng, f, s)`` for the F-sampled
+checks, ``check(rng, a)`` for the Jacobi oracle's (n, 6, 6) symmetric
+matrices.  It draws its own perturbations after the ensemble, each kind in
+one call for all n trials in trial order, loops the oracles that take one
+F or one matrix per call, and returns a list of (n,) or (n, k) error
+arrays, row t holding trial t's errors.  A check without a sampler is
+called n times as ``check(rng)``, each call returning one error or a list.
+The report keeps the largest error, a NaN counting as the largest and the
+first trial winning ties, and fails when it exceeds ``tol``; it carries
+that trial's sample as its counterexample where there is one.  Kernels are
+looked up through their modules at call time, so a patched kernel is the
+one checked.
 
 ``run_bench`` times the sheet's closed-form spectrum against the FD +
 Jacobi oracle route on the checks' sheet and admissible sampler.
@@ -42,7 +40,6 @@ import functools
 import math
 import time
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
@@ -83,25 +80,25 @@ class CheckReport:
         }
 
 
-def _report(name, trials, tol, errors):
-    """Report the largest of the (error, witness) pairs ``errors``.
-
-    A NaN error counts as larger than any number; among equal errors the
-    first one's witness is kept.
-    """
-    worst, witness = max(
-        errors, key=lambda e: (math.isnan(e[0]), e[0]), default=(0.0, None)
-    )
+def _report(name, trials, tol, errors, witnesses=None):
+    """Report the largest entry of ``errors``, an (n, k) array whose row t
+    holds the errors of trial t, whose sample is ``witnesses[t]`` (a flat
+    array where there are no witnesses).  A NaN counts as larger than any number,
+    and among equal errors the first in trial order is kept: np.argmax's
+    rule."""
+    flat = np.ravel(errors)
+    k = int(np.argmax(flat)) if flat.size else None
+    # No errors, or only zeros such as np.maximum(0.0, -0.0), read 0.0.
+    worst = float(flat[k]) if k is not None and flat[k] else 0.0
     passed = bool(worst <= tol)
+    witness = None if passed or witnesses is None else witnesses[k // errors.shape[1]]
     return CheckReport(
         name=name,
         trials=trials,
-        max_error=float(worst),
+        max_error=worst,
         tol=float(tol),
         passed=passed,
-        counterexample=(
-            None if passed or witness is None else np.asarray(witness).tolist()
-        ),
+        counterexample=None if witness is None else np.asarray(witness).tolist(),
     )
 
 
@@ -109,58 +106,54 @@ _CHECKS = []
 
 
 def _check(tol, sample=None, share=1):
-    """Register a single-trial function as the check named after it."""
+    """Register a check function as the check named after it."""
 
-    def register(trial):
-        name = trial.__name__.removeprefix("_check_")
+    def register(check):
+        name = check.__name__.removeprefix("_check_")
 
-        @functools.wraps(trial)
+        @functools.wraps(check)
         def run(rng, trials):
             n = max(1, trials // share)
-            samples = [()] * n if sample is None else sample(rng, n)
-            errors = []
-            for args in samples:
-                witness = args[0] if args else None
-                out = trial(rng, *args)
-                errors.extend((float(e), witness) for e in np.atleast_1d(out))
-            return _report(name, n, tol, errors)
+            if sample is None:
+                errors = [np.ravel(check(rng)) for _ in range(n)]
+                return _report(name, n, tol, np.concatenate(errors))
+            args = sample(rng, n)
+            return _report(name, n, tol, np.column_stack(check(rng, *args)), args[0])
 
+        run.sample = sample
         _CHECKS.append(run)
         return run
 
     return register
 
 
-def random_f(rng, n=None):
-    """A raw test gradient: 3x2 with entries uniform in (-2, 2), or an
-    (n, 3, 2) stack of n of them."""
-    return rng.uniform(-2.0, 2.0, size=(3, 2) if n is None else (n, 3, 2))
+def random_f(rng, n):
+    """An (n, 3, 2) stack of raw test gradients, entries uniform in (-2, 2)."""
+    return rng.uniform(-2.0, 2.0, size=(n, 3, 2))
 
 
-def _draw(rng, n=None, accept=None):
-    """Draw raw Fs until n pass ``accept``; return their n pairs
-    (f, svd32(f)) in draw order, or one pair when ``n`` is None.
+def _draw(rng, n, accept=None):
+    """Draw raw Fs until n pass ``accept``; return the (n, 3, 2) stack f of
+    them in draw order and svd32(f).
 
-    Each round draws and decomposes the n - got candidates still missing
-    as one stack, and ``accept`` maps the stack's decomposition to a mask.
+    Each round draws the n - got candidates still missing as one stack,
+    and ``accept`` maps the stack's decomposition to a mask.
     """
-    if n is None:
-        return _draw(rng, 1, accept)[0]
-    pairs = []
-    while len(pairs) < n:
-        f = random_f(rng, n - len(pairs))
-        s = svd_mod.svd32(f)
-        kept = range(len(f)) if accept is None else np.flatnonzero(accept(s))
-        pairs += [(f[k], svd_mod._member(s, k)) for k in kept]
-    return pairs
+    kept, got = [], 0
+    while got < n:
+        f = random_f(rng, n - got)
+        kept.append(f if accept is None else f[accept(svd_mod.svd32(f))])
+        got += len(kept[-1])
+    f = np.concatenate(kept)
+    return f, svd_mod.svd32(f)
 
 
-def random_f_nondegenerate(rng, n=None):
-    """A pair (f, svd32(f)) with sigma2 > 0.05, or n of them."""
+def random_f_nondegenerate(rng, n):
+    """A pair (f, svd32(f)) of n Fs with sigma2 > 0.05."""
     return _draw(rng, n, lambda s: s.sigma[1] > _MIN_SIGMA2)
 
 
-def random_f_gapped(rng, n=None):
+def random_f_gapped(rng, n):
     # Nondegenerate and with sigma1 - sigma2 > 0.05, so the rates exist.
     return _draw(
         rng,
@@ -169,15 +162,43 @@ def random_f_gapped(rng, n=None):
     )
 
 
-def random_f_admissible(rng, n=None, min_i3=0.05):
-    """A pair (f, svd32(f)) with I3 = sigma1*sigma2 above ``min_i3``, or n
-    of them."""
+def random_f_admissible(rng, n, min_i3=0.05):
+    """A pair (f, svd32(f)) of n Fs with I3 = sigma1*sigma2 above
+    ``min_i3``."""
     return _draw(rng, n, lambda s: s.sigma[0] * s.sigma[1] > min_i3)
 
 
-def _unit_fdot(rng):
-    d = rng.uniform(-1.0, 1.0, size=(3, 2))
-    return d / np.linalg.norm(d)
+def _norms(x):
+    # Frobenius norm of each matrix of the stack x as one dot product: bitwise
+    # np.linalg.norm of that matrix alone, which a norm over two axes is not.
+    flat = x.reshape(len(x), -1)
+    return np.sqrt(flat[:, None, :] @ flat[:, :, None]).reshape(-1)
+
+
+def _unit_fdot(rng, n):
+    d = rng.uniform(-1.0, 1.0, size=(n, 3, 2))
+    return d / _norms(d)[:, None, None]
+
+
+def _jacobi(stack):
+    """The Jacobi oracle on each symmetric matrix of a stack, one matrix per
+    call: its (n, m) eigenvalues and (n, m, m) eigenvectors.  Both are NaN
+    for a matrix the oracle rejects as asymmetric, so that trial fails with
+    its witness instead of raising out of run_checks."""
+    stack = np.asarray(stack)
+    values, vectors = np.full(stack.shape[:-1], np.nan), np.full(stack.shape, np.nan)
+    for k, a in enumerate(stack):
+        try:
+            spec = orc_mod.jacobi_eigen_sym(a)
+        except orc_mod.NotSymmetric:
+            continue
+        values[k], vectors[k] = spec.values, spec.vectors
+    return values, vectors
+
+
+def _max_abs(x):
+    """The largest absolute entry of each matrix of a stack x (..., r, c)."""
+    return np.max(np.abs(x), axis=(-2, -1))
 
 
 # ---------------------------------------------------------------- svd checks
@@ -185,47 +206,50 @@ def _unit_fdot(rng):
 
 @_check(1e-12, _draw)
 def _check_svd_reconstruction(rng, f, s):
-    return np.max(np.abs(f - s.reconstruct())) / max(1.0, np.linalg.norm(f))
+    return [_max_abs(f - s.reconstruct()) / np.maximum(1.0, _norms(f))]
 
 
 @_check(1e-12, _draw)
 def _check_svd_conventions(rng, f, s):
     s1, s2 = s.sigma
-    return max(
-        np.max(np.abs(s.u.T @ s.u - np.eye(3))),
-        np.max(np.abs(s.v.T @ s.v - np.eye(2))),
-        abs(np.linalg.det(s.u) - 1.0),
-        abs(np.linalg.det(s.v) - 1.0),
-        np.max(np.abs(s.normal - np.cross(s.u[:, 0], s.u[:, 1]))),
-        max(0.0, s2 - s1),
-        max(0.0, -s2),
-    )
+    return [
+        _max_abs(np.swapaxes(s.u, 1, 2) @ s.u - np.eye(3)),
+        _max_abs(np.swapaxes(s.v, 1, 2) @ s.v - np.eye(2)),
+        np.abs(np.linalg.det(s.u) - 1.0),
+        np.abs(np.linalg.det(s.v) - 1.0),
+        np.max(np.abs(s.normal - np.cross(s.u[:, :, 0], s.u[:, :, 1])), axis=1),
+        np.maximum(0.0, s2 - s1),
+        np.maximum(0.0, -s2),
+    ]
 
 
+# svd_rates takes one decomposition: each F's lone svd32, bitwise its member.
 @_check(1e-10, random_f_gapped)
 def _check_svd_rate_consistency(rng, f, s):
-    fdot = _unit_fdot(rng)
-    rates = svd_mod.svd_rates(s, fdot)
-    return np.max(np.abs(fdot - rates.reconstruct(s)))
+    fdot = _unit_fdot(rng, len(f))
+    lone = [svd_mod.svd32(fk) for fk in f]
+    rates = [svd_mod.svd_rates(sk, dk) for sk, dk in zip(lone, fdot)]
+    rebuilt = np.array([r.reconstruct(sk) for r, sk in zip(rates, lone)])
+    return [_max_abs(fdot - rebuilt)]
 
 
 @_check(1e-8, random_f_gapped)
 def _check_svd_rate_prediction(rng, f, s):
     h = 1e-5
-    fdot = _unit_fdot(rng)
-    rates = svd_mod.svd_rates(s, fdot)
+    fdot = _unit_fdot(rng, len(f))
+    rates = [svd_mod.svd_rates(svd_mod.svd32(fk), dk) for fk, dk in zip(f, fdot)]
+    sigma_dot = np.array([r.sigma_dot for r in rates])
     actual = svd_mod.svd32(f + h * fdot).sigma
-    pred = (s.sigma[0] + h * rates.sigma_dot[0], s.sigma[1] + h * rates.sigma_dot[1])
-    return max(abs(actual[0] - pred[0]), abs(actual[1] - pred[1]))
+    return [np.abs(actual[k] - (s.sigma[k] + h * sigma_dot[:, k])) for k in (0, 1)]
 
 
 @_check(1e-8, random_f_nondegenerate)
 def _check_svd_inplane_normal(rng, f, s):
     # In-plane perturbations keep the column space, hence the normal.
     h = 1e-5
-    a, b, c, d = rng.uniform(-1.0, 1.0, size=4)
-    fdot = s.lift(np.array([[a, b], [c, d], [0.0, 0.0]]))
-    return np.max(np.abs(svd_mod.svd32(f + h * fdot).normal - s.normal))
+    inplane = rng.uniform(-1.0, 1.0, size=(len(f), 2, 2))
+    fdot = s.lift(np.concatenate((inplane, np.zeros((len(f), 1, 2))), axis=1))
+    return [np.max(np.abs(svd_mod.svd32(f + h * fdot).normal - s.normal), axis=1)]
 
 
 # ---------------------------------------------------------- invariant checks
@@ -234,10 +258,10 @@ def _check_svd_inplane_normal(rng, f, s):
 @_check(1e-12, _draw)
 def _check_invariant_values(rng, f, s):
     inv = inv_mod.invariants(s)
-    return max(
-        abs(inv.i2 - float(np.sum(f * f))),
-        abs(inv.i1 * inv.i1 - (inv.i2 + 2.0 * inv.i3)),
-    )
+    return [
+        np.abs(inv.i2 - np.sum(f * f, axis=(1, 2))),
+        np.abs(inv.i1 * inv.i1 - (inv.i2 + 2.0 * inv.i3)),
+    ]
 
 
 def _invariant_fn(which):
@@ -246,45 +270,49 @@ def _invariant_fn(which):
 
 @_check(1e-6, random_f_nondegenerate)
 def _check_invariant_gradients_fd(rng, f, s):
-    grads = inv_mod.invariant_gradients(s, f)
-    return [
-        np.max(np.abs(orc_mod.fd_gradient(_invariant_fn(which), f, h=1e-5) - g))
-        for which, g in zip(("I1", "I2", "I3"), grads)
-    ]
+    errors = []
+    for which, g in zip(("I1", "I2", "I3"), inv_mod.invariant_gradients(s, f)):
+        fd = [orc_mod.fd_gradient(_invariant_fn(which), fk, h=1e-5) for fk in f]
+        errors.append(_max_abs(np.array(fd) - g))
+    return errors
 
 
 @_check(1e-5, random_f_nondegenerate)
 def _check_invariant_hvp_fd(rng, f, s):
     h = 1e-5
-    fdot = _unit_fdot(rng)
+    fdot = _unit_fdot(rng, len(f))
     hvps = inv_mod.invariant_hvp(s, fdot)
     x = np.stack([f + h * fdot, f - h * fdot])
     g = inv_mod.invariant_gradients(svd_mod.svd32(x), x)
-    return [
-        np.max(np.abs((g[k][0] - g[k][1]) / (2.0 * h) - hvps[k])) for k in range(3)
-    ]
+    return [_max_abs((g[k][0] - g[k][1]) / (2.0 * h) - hvps[k]) for k in range(3)]
 
 
 @_check(1e-12, random_f_nondegenerate)
 def _check_invariant_hvp_i2_exact(rng, f, s):
-    fdot = random_f(rng)
+    fdot = random_f(rng, len(f))
     h2 = inv_mod.invariant_hvp(s, fdot)[1]
-    return np.max(np.abs(h2 - 2.0 * fdot))
+    return [_max_abs(h2 - 2.0 * fdot)]
 
 
 @_check(1e-12, random_f_nondegenerate)
 def _check_invariant_hvp_linearity(rng, f, s):
-    x, y = random_f(rng), random_f(rng)
-    a, b = rng.uniform(-2.0, 2.0, size=2)
-    hvps = inv_mod.invariant_hvp(s, np.stack([a * x + b * y, x, y]))
-    return [np.max(np.abs(h[0] - (a * h[1] + b * h[2]))) for h in hvps]
+    # Each trial's x, y (3x2 each), a and b, as one row of 14.
+    draw = rng.uniform(-2.0, 2.0, size=(len(f), 14))
+    x, y = draw[:, :6].reshape(-1, 3, 2), draw[:, 6:12].reshape(-1, 3, 2)
+    a, b = draw[:, 12, None, None], draw[:, 13, None, None]
+    hvps = inv_mod.invariant_hvp(s, np.stack([a * x + b * y, x, y], axis=1))
+    return [_max_abs(h[:, 0] - (a * h[:, 1] + b * h[:, 2])) for h in hvps]
 
 
 @_check(1e-10, random_f_nondegenerate)
 def _check_invariant_hvp_symmetry(rng, f, s):
-    x, y = random_f(rng), random_f(rng)
-    hvps = inv_mod.invariant_hvp(s, np.stack([x, y]))
-    return [abs(float(np.sum(y * h[0])) - float(np.sum(x * h[1]))) for h in hvps]
+    xy = random_f(rng, 2 * len(f)).reshape(-1, 2, 3, 2)
+    x, y = xy[:, 0], xy[:, 1]
+    hvps = inv_mod.invariant_hvp(s, xy)
+    return [
+        np.abs(np.sum(y * h[:, 0], axis=(1, 2)) - np.sum(x * h[:, 1], axis=(1, 2)))
+        for h in hvps
+    ]
 
 
 @_check(1e-12, random_f_nondegenerate)
@@ -292,8 +320,8 @@ def _check_eigen_unit_norm(rng, f, s):
     errors = []
     for which in ("I1", "I2", "I3"):
         eig = inv_mod.invariant_eigensystem(which, s)
-        norms = np.linalg.norm(eig.matrices.reshape(6, 6), axis=1)
-        errors.append(np.max(np.abs(norms - 1.0)))
+        norms = np.linalg.norm(eig.matrices.reshape(-1, 6, 6), axis=2)
+        errors.append(np.abs(norms - 1.0))
     return errors
 
 
@@ -301,10 +329,10 @@ def _check_eigen_unit_norm(rng, f, s):
 def _check_eigen_orthogonality(rng, f, s):
     errors = []
     for which in ("I1", "I2", "I3"):
-        q = inv_mod.invariant_eigensystem(which, s).matrices.reshape(6, 6)
-        gram = q @ q.T
-        np.fill_diagonal(gram, 1.0)
-        errors.append(np.max(np.abs(gram - np.eye(6))))
+        q = inv_mod.invariant_eigensystem(which, s).matrices.reshape(-1, 6, 6)
+        gram = q @ np.swapaxes(q, 1, 2)
+        gram[:, range(6), range(6)] = 1.0
+        errors.append(_max_abs(gram - np.eye(6)))
     return errors
 
 
@@ -315,17 +343,17 @@ def _check_eigen_residual(rng, f, s):
         eig = inv_mod.invariant_eigensystem(which, s)
         lam, q = eig.values, eig.matrices
         hq = inv_mod.invariant_hvp(s, q)[k]
-        resid = np.max(np.abs(hq - lam[:, None, None] * q), axis=(-2, -1))
-        errors.extend(resid / np.maximum(1.0, np.abs(lam)))
+        resid = _max_abs(hq - lam[..., None, None] * q)
+        errors.append(resid / np.maximum(1.0, np.abs(lam)))
     return errors
 
 
 @_check(1e-8, random_f_nondegenerate)
 def _check_eigen_reconstruction(rng, f, s):
-    fdot = _unit_fdot(rng)
+    fdot = _unit_fdot(rng, len(f))
     hvps = inv_mod.invariant_hvp(s, fdot)
     return [
-        np.max(np.abs(inv_mod.invariant_eigensystem(which, s).apply(fdot) - hvps[k]))
+        _max_abs(inv_mod.invariant_eigensystem(which, s).apply(fdot) - hvps[k])
         for k, which in enumerate(("I1", "I2", "I3"))
     ]
 
@@ -334,8 +362,8 @@ def _check_eigen_reconstruction(rng, f, s):
 def _check_i1_null_space(rng, f, s):
     eig = inv_mod.invariant_eigensystem("I1", s)
     # scale, opposed scale, flip
-    h1 = inv_mod.invariant_hvp(s, eig.matrices[[0, 1, 3]])[0]
-    return np.max(np.abs(h1), axis=(-2, -1))
+    h1 = inv_mod.invariant_hvp(s, eig.matrices[:, [0, 1, 3]])[0]
+    return [_max_abs(h1)]
 
 
 @_check(1e-12, random_f_nondegenerate)
@@ -344,8 +372,8 @@ def _check_eigen_padding(rng, f, s):
     for which in ("I1", "I2", "I3"):
         eig = inv_mod.invariant_eigensystem(which, s)
         for slot in range(6):
-            c = s.rotate(eig.matrices[slot])
-            errors.append(np.max(np.abs(c[2, :] if slot < 4 else c[:2, :])))
+            c = s.rotate(eig.matrices[:, slot])
+            errors.append(_max_abs(c[:, 2:, :] if slot < 4 else c[:, :2, :]))
     return errors
 
 
@@ -355,12 +383,12 @@ def _check_eigen_spectrum_oracle(rng, f, s):
     errors = []
     for which in ("I1", "I2", "I3"):
         analytic = np.sort(inv_mod.invariant_eigensystem(which, s).values)
-        dense = orc_mod.fd_hessian6(_invariant_fn(which), f, h=1e-4)
-        oracle = orc_mod.jacobi_eigen_sym(dense).values
+        dense = [orc_mod.fd_hessian6(_invariant_fn(which), fk, h=1e-4) for fk in f]
+        oracle, _ = _jacobi(dense)
         # FD perturbs every eigenvalue by up to the matrix-norm error
         # (Weyl), so normalize by the spectral scale.
-        scale = max(1.0, float(np.max(np.abs(oracle))))
-        errors.append(np.max(np.abs(analytic - oracle)) / scale)
+        scale = np.maximum(1.0, np.max(np.abs(oracle), axis=1))
+        errors.append(np.max(np.abs(analytic - oracle), axis=1) / scale)
     return errors
 
 
@@ -377,16 +405,16 @@ def _sheet_psi(f):
 
 @_check(1e-10, random_f_admissible)
 def _check_sheet_operator_identity(rng, f, s):
-    fdot = _unit_fdot(rng)
+    fdot = _unit_fdot(rng, len(f))
     inv = inv_mod.invariants(s)
     hvp = mod_mod.energy_hvp(_SHEET, s, fdot)
     _, _, g3 = inv_mod.invariant_gradients(s, f)
     h3 = inv_mod.invariant_hvp(s, fdot)[2]
-    r = 1.0 / inv.i3
-    explicit = _MU * (
-        fdot + 3.0 * r ** 4 * float(np.sum(g3 * fdot)) * g3 - r ** 3 * h3
-    )
-    return np.max(np.abs(hvp - explicit)) / max(1.0, np.max(np.abs(explicit)))
+    r = (1.0 / inv.i3)[:, None, None]
+    g3_fdot = np.sum(g3 * fdot, axis=(1, 2))[:, None, None]
+    r3, r4 = np.float_power(r, 3), np.float_power(r, 4)
+    explicit = _MU * (fdot + 3.0 * r4 * g3_fdot * g3 - r3 * h3)
+    return [_max_abs(hvp - explicit) / np.maximum(1.0, _max_abs(explicit))]
 
 
 @_check(1e-10, random_f_admissible)
@@ -394,48 +422,48 @@ def _check_sheet_reduced_block(rng, f, s):
     s1, s2 = s.sigma
     i3 = s1 * s2
     a = mod_mod._reduced_block(_SHEET.derivs(inv_mod.invariants(s)), s1, s2)
+    # float_power, as array ** 4 and ** 3 round unlike a Python float's.
+    i3_4, off = np.float_power(i3, 4), 2.0 * _MU / np.float_power(i3, 3)
     expected = np.array(
         [
-            [_MU * (1.0 + 3.0 * s2 * s2 / i3 ** 4), 2.0 * _MU / i3 ** 3],
-            [2.0 * _MU / i3 ** 3, _MU * (1.0 + 3.0 * s1 * s1 / i3 ** 4)],
+            [_MU * (1.0 + 3.0 * s2 * s2 / i3_4), off],
+            [off, _MU * (1.0 + 3.0 * s1 * s1 / i3_4)],
         ]
-    )
-    return np.max(np.abs(a - expected) / np.maximum(1.0, np.abs(expected)))
+    ).transpose(2, 0, 1)
+    return [_max_abs((a - expected) / np.maximum(1.0, np.abs(expected)))]
 
 
 @_check(1e-8, random_f_admissible)
 def _check_sheet_eigen_reconstruction(rng, f, s):
-    fdot = _unit_fdot(rng)
+    fdot = _unit_fdot(rng, len(f))
     hvp = mod_mod.energy_hvp(_SHEET, s, fdot)
     eig = mod_mod.energy_eigensystem(_SHEET, s)
-    return np.max(np.abs(eig.apply(fdot) - hvp)) / max(1.0, np.max(np.abs(hvp)))
+    return [_max_abs(eig.apply(fdot) - hvp) / np.maximum(1.0, _max_abs(hvp))]
 
 
 @_check(1e-10, random_f_admissible)
 def _check_sheet_block_consistency(rng, f, s):
     a = np.sort(mod_mod.sheet_eigensystem(_MU, s).values)
     b = np.sort(mod_mod.energy_eigensystem(_SHEET, s).values)
-    return np.max(np.abs(a - b) / np.maximum(1.0, np.abs(b)))
+    return [np.max(np.abs(a - b) / np.maximum(1.0, np.abs(b)), axis=1)]
 
 
 @_check(1e-12, random_f_admissible)
 def _check_sheet_gradient_orthogonality(rng, f, s):
     _, g2, _ = inv_mod.invariant_gradients(s, f)
     eig = inv_mod.invariant_eigensystem("I3", s)
-    return [  # twist, flip, normal modes
-        abs(float(np.sum(g2 * eig.matrices[slot]))) for slot in (2, 3, 4, 5)
-    ]
+    # twist, flip, normal modes
+    return [np.abs(np.sum(g2[:, None] * eig.matrices[:, 2:], axis=(-2, -1)))]
 
 
 @_check(1e-4, random_f_admissible, share=20)
 def _check_sheet_spectrum_oracle(rng, f, s):
     analytic = np.sort(mod_mod.sheet_eigensystem(_MU, s).values)
-    dense = orc_mod.fd_hessian6(_sheet_psi, f, h=1e-4)
-    oracle = orc_mod.jacobi_eigen_sym(dense).values
+    oracle, _ = _jacobi([orc_mod.fd_hessian6(_sheet_psi, fk, h=1e-4) for fk in f])
     # Weyl-normalized: small I3 blows the spectrum up to ~mu/I3^4 and
     # FD error rides the matrix norm, not individual eigenvalues.
-    scale = max(1.0, float(np.max(np.abs(oracle))))
-    return np.max(np.abs(analytic - oracle)) / scale
+    scale = np.maximum(1.0, np.max(np.abs(oracle), axis=1))
+    return [np.max(np.abs(analytic - oracle), axis=1) / scale]
 
 
 @_check(1e-8, random_f_admissible)
@@ -444,37 +472,34 @@ def _check_sheet_pairing(rng, f, s):
     # eigenvalue, checked against the dense oracle on the 2x2 block.
     d = _SHEET.derivs(inv_mod.invariants(s))
     block = mod_mod._reduced_block(d, s.sigma[0], s.sigma[1])
-    oracle = orc_mod.jacobi_eigen_sym(block)
+    lam, vectors = _jacobi(block)
     eig = mod_mod.sheet_eigensystem(_MU, s)
-    lam_plus, lam_minus = eig.values[0], eig.values[1]
-    # Coefficients of the first two eigenmatrices in the rotated frame.
-    cp = s.rotate(eig.matrices[0])
-    vp = np.array([cp[0, 0], cp[1, 1]])
-    scale = max(1.0, abs(oracle.values[1]))
-    return max(
-        abs(lam_plus - oracle.values[1]) / scale,
-        abs(lam_minus - oracle.values[0]) / max(1.0, abs(oracle.values[0])),
-        1.0 - abs(float(vp @ oracle.vectors[:, 1])),
-    )
+    # Coefficients of the first eigenmatrix in the rotated frame.
+    vp = s.rotate(eig.matrices[:, 0])[:, [0, 1], [0, 1]]
+    return [
+        np.abs(eig.values[:, 0] - lam[:, 1]) / np.maximum(1.0, np.abs(lam[:, 1])),
+        np.abs(eig.values[:, 1] - lam[:, 0]) / np.maximum(1.0, np.abs(lam[:, 0])),
+        1.0 - np.abs(vp[:, None, :] @ vectors[:, :, 1:]).reshape(-1),
+    ]
 
 
 @_check(1e-10, random_f_admissible)
 def _check_psd_projection(rng, f, s):
     eig = mod_mod.energy_eigensystem(_SHEET, s)
     proj = mod_mod.project_psd(eig)
-    scale = max(1.0, float(np.max(np.abs(eig.values))))
-    x = _unit_fdot(rng)
-    quad = float(np.sum(x * proj.apply(x)))
+    scale = np.maximum(1.0, np.max(np.abs(eig.values), axis=1))
+    x = _unit_fdot(rng, len(f))
+    quad = np.sum(x * proj.apply(x), axis=(1, 2))
     dense = proj.dense6()
     twice = mod_mod.project_psd(proj)
-    min_eig = orc_mod.jacobi_eigen_sym(dense).values[0]
-    return max(
-        max(0.0, -float(np.min(proj.values))),
-        max(0.0, -quad) / scale,
-        max(0.0, -min_eig) / scale,
-        np.max(np.abs(dense - dense.T)),
-        np.max(np.abs(twice.values - proj.values)) / scale,
-    )
+    min_eig = _jacobi(dense)[0][:, 0]
+    return [
+        np.maximum(0.0, -np.min(proj.values, axis=1)),
+        np.maximum(0.0, -quad) / scale,
+        np.maximum(0.0, -min_eig) / scale,
+        _max_abs(dense - np.swapaxes(dense, 1, 2)),
+        np.max(np.abs(twice.values - proj.values), axis=1) / scale,
+    ]
 
 
 # ----------------------------------------------------------------- FEM checks
@@ -588,23 +613,20 @@ def _check_fem_frame_objectivity(rng):
 # -------------------------------------------------------------- oracle checks
 
 
-def _random_sym6(rng, n=None):
-    if n is None:
-        return _random_sym6(rng, 1)[0]
+def _random_sym6(rng, n):
     a = rng.uniform(-2.0, 2.0, size=(n, 6, 6))
-    return [(sym,) for sym in 0.5 * (a + np.swapaxes(a, -1, -2))]
+    return (0.5 * (a + np.swapaxes(a, -1, -2)),)
 
 
 @_check(1e-10, _random_sym6, share=10)
 def _check_oracle_jacobi(rng, a):
-    spec = orc_mod.jacobi_eigen_sym(a)
-    scale = max(1.0, float(np.linalg.norm(a)))
-    resid = a @ spec.vectors - spec.vectors * spec.values
-    return max(
-        float(np.max(np.abs(resid))) / scale,
-        float(np.max(np.abs(spec.vectors.T @ spec.vectors - np.eye(6)))),
-        max(0.0, float(np.max(spec.values[:-1] - spec.values[1:]))),
-    )
+    lam, q = _jacobi(a)
+    resid = a @ q - q * lam[:, None, :]
+    return [
+        _max_abs(resid) / np.maximum(1.0, _norms(a)),
+        _max_abs(np.swapaxes(q, 1, 2) @ q - np.eye(6)),
+        np.maximum(0.0, np.max(lam[:, :-1] - lam[:, 1:], axis=1)),
+    ]
 
 
 def _check_fd_convergence(rng, trials):
@@ -612,24 +634,18 @@ def _check_fd_convergence(rng, trials):
     # gradient error over the ensemble by a factor between 3 and 5.
     n = min(trials, 50)
     steps = (1e-3, 5e-4, 2.5e-4)
-    worst = np.zeros(len(steps))
-    for f, s in random_f_admissible(rng, min_i3=0.3, n=n):
-        g = mod_mod.energy_gradient(_SHEET, s, f)
-        fds = [orc_mod.fd_gradient(_sheet_psi, f, h=h) for h in steps]
-        worst = np.maximum(worst, [np.max(np.abs(fd - g)) for fd in fds])
+    f, s = random_f_admissible(rng, n, min_i3=0.3)
+    g = mod_mod.energy_gradient(_SHEET, s, f)
+    fds = [[orc_mod.fd_gradient(_sheet_psi, fk, h=h) for h in steps] for fk in f]
+    worst = np.max(np.abs(np.array(fds) - g[:, None]), axis=(0, 2, 3))
     ratio = np.divide(
         worst[:-1], worst[1:], out=np.zeros(len(steps) - 1), where=worst[1:] > 0.0
     )
     errors = np.max([np.zeros_like(ratio), 3.0 - ratio, ratio - 5.0], axis=0)
-    return _report("fd_convergence", n, 1e-12, [(e, None) for e in errors])
+    return _report("fd_convergence", n, 1e-12, errors)
 
 
 _CHECKS.append(_check_fd_convergence)
-
-
-def _require_int(name, value, least):
-    if not isinstance(value, Integral) or isinstance(value, bool) or value < least:
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def run_checks(seed=42, trials=1000):
@@ -640,8 +656,8 @@ def run_checks(seed=42, trials=1000):
     unless ``seed`` is an integer >= 0 and ``trials`` one >= 1 (neither a
     bool).
     """
-    _require_int("seed", seed, 0)
-    _require_int("trials", trials, 1)
+    fem_mod._require_int("seed", seed, 0)
+    fem_mod._require_int("trials", trials, 1)
     children = np.random.SeedSequence(seed).spawn(len(_CHECKS))
     return [
         fn(np.random.default_rng(child), trials)
@@ -683,9 +699,9 @@ def run_bench(trials=200):
     """Time both spectrum routes, interleaved F by F, on one admissible
     ensemble (seed 0) for the checks' sheet: ``_MU`` and its energy
     ``_sheet_psi``."""
-    _require_int("trials", trials, 1)
+    fem_mod._require_int("trials", trials, 1)
     rng = np.random.default_rng(0)
-    fs = [f for f, _ in random_f_admissible(rng, n=trials)]
+    fs, _ = random_f_admissible(rng, trials)
 
     # Each F times both routes, alternating which goes first, so a burst of
     # load falls on both; an untimed call first warms the route's caches.

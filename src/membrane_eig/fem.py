@@ -226,6 +226,13 @@ class MembraneProblem:
         return out
 
 
+def _require_int(name, value, least):
+    """Raise ValueError unless ``value`` is an integer >= ``least`` (a bool
+    is not)."""
+    if not isinstance(value, Integral) or isinstance(value, bool) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class NewtonConfig:
     """Projected-Newton parameters: stop when max|g| <= ``tol`` (>= 0), or
@@ -238,9 +245,7 @@ class NewtonConfig:
         # No gradient meets a NaN tol; tol = 0 ends at the roundoff floor.
         if not self.tol >= 0.0:
             raise ValueError(f"tol must be >= 0, got {self.tol}")
-        n = self.max_iters
-        if not isinstance(n, Integral) or isinstance(n, bool) or n < 0:
-            raise ValueError(f"max_iters must be an integer >= 0, got {n!r}")
+        _require_int("max_iters", self.max_iters, 0)
 
 
 class Iterate(NamedTuple):

@@ -264,26 +264,12 @@ def svd32(f):
     v = v.transpose(2, 0, 1)
 
     # One matrix is decomposed as a stack of one and unwrapped.
-    lead = batch or (1,)
-    stack = Svd32(
-        u=u.reshape(lead + (3, 3)),
-        sigma=(sa.reshape(lead), sb.reshape(lead)),
-        v=v.reshape(lead + (2, 2)),
-    )
-    return stack if batch else _member(stack, 0)
-
-
-def _member(svd, k):
-    """Decomposition k of a (B,) stack ``svd``, as one Svd32 of one matrix.
-
-    Its arrays are copies laid out as a lone matrix's are (``u``
-    column-major, ``v`` row-major), so later products see the same memory
-    layout whether the member was decomposed alone or in a stack.
-    """
+    if not batch:
+        return Svd32(u=u[0], sigma=(float(sa[0]), float(sb[0])), v=v[0])
     return Svd32(
-        u=np.array(svd.u[k]),
-        sigma=(float(svd.sigma[0][k]), float(svd.sigma[1][k])),
-        v=np.array(svd.v[k]),
+        u=u.reshape(batch + (3, 3)),
+        sigma=(sa.reshape(batch), sb.reshape(batch)),
+        v=v.reshape(batch + (2, 2)),
     )
 
 

@@ -29,8 +29,8 @@ def _report(criterion, ok, detail):
 
 
 def _ensemble(sampler, seed, n=N_TRIALS):
-    rng = np.random.default_rng(seed)
-    return [sampler(rng)[0] for _ in range(n)]
+    f, _ = sampler(np.random.default_rng(seed), n)
+    return f
 
 
 def _invariant_value(f, index):

@@ -2,6 +2,7 @@
 
 import functools
 import importlib
+import math
 
 import numpy as np
 import pytest
@@ -69,6 +70,20 @@ def test_run_bench_rejects_bad_trials(trials):
         me.run_bench(trials=trials)
 
 
+def test_report_keeps_the_first_nan_or_largest_error_and_its_witness():
+    witnesses = np.arange(3 * 6).reshape(3, 3, 2)
+    errors = np.array([[0.5, 2.0], [2.0, np.nan], [np.nan, 0.0]])
+    r = checks._report("demo", 3, 1.0, errors, witnesses)
+    assert np.isnan(r.max_error) and r.counterexample == witnesses[1].tolist()
+    r = checks._report("demo", 3, 1.0, np.nan_to_num(errors), witnesses)
+    assert r.max_error == 2.0 and r.counterexample == witnesses[0].tolist()
+    # Only zeros, one of them negative, read as 0.0; no errors at all too.
+    r = checks._report("demo", 3, 1.0, np.array([[-0.0, 0.0]] * 3), witnesses)
+    assert r.passed and math.copysign(1.0, r.max_error) == 1.0
+    r = checks._report("demo", 1, 1.0, np.array([]))
+    assert r.passed and r.max_error == 0.0 and r.counterexample is None
+
+
 def test_report_to_dict_round_trip():
     report = me.CheckReport(
         name="demo", trials=10, max_error=1e-12, tol=1e-10, passed=True,
@@ -128,20 +143,24 @@ def test_nan_on_a_later_trial_fails_its_check(monkeypatch):
     original = invariants_module.invariant_hvp
     calls = []
 
-    def nan_on_second_call(svd, w):
+    def nan_in_member_1(svd, w):
         calls.append(svd)
         h1, h2, h3 = original(svd, w)
-        return (h1, np.full_like(h2, np.nan), h3) if len(calls) == 2 else (h1, h2, h3)
+        h2 = h2.copy()
+        h2[1] = np.nan
+        return h1, h2, h3
 
-    monkeypatch.setattr(invariants_module, "invariant_hvp", nan_on_second_call)
+    monkeypatch.setattr(invariants_module, "invariant_hvp", nan_in_member_1)
     r = _run_only(monkeypatch, "invariant_hvp_i2_exact", seed=5, trials=6)
-    assert len(calls) == 6
+    # One call on the whole ensemble.
+    assert len(calls) == 1 and calls[0].u.shape == (6, 3, 3)
     assert not r.passed
     assert np.isnan(r.max_error)
-    f2 = np.array(r.counterexample)
-    assert f2.shape == (3, 2)
-    assert np.max(np.abs(f2 - calls[1].reconstruct())) < 1e-12
-    assert np.max(np.abs(f2 - calls[0].reconstruct())) > 1e-3
+    f1 = np.array(r.counterexample)
+    assert f1.shape == (3, 2)
+    rebuilt = calls[0].reconstruct()
+    assert np.max(np.abs(f1 - rebuilt[1])) < 1e-12
+    assert np.max(np.abs(f1 - rebuilt[0])) > 1e-3
 
 
 def test_witnessless_check_reports_its_largest_error(monkeypatch):
@@ -164,20 +183,22 @@ def test_witnessless_check_reports_its_largest_error(monkeypatch):
 
 
 def test_trials_reuse_their_samples_decomposition(monkeypatch):
-    # eigen_unit_norm decomposes nothing but its samples, drawn before its
-    # first trial: every candidate is decomposed exactly once, one svd32
-    # call per round of candidates, and each trial gets its F's own svd32.
-    rounds, decomposed, seen = [], [], []
+    # eigen_unit_norm decomposes nothing but its sample, drawn before the
+    # check runs: one svd32 call per round of candidates, on exactly that
+    # round's candidates, then one on the accepted stack, whose
+    # decomposition the three eigensystems (I1, I2, I3) take.
+    rounds, decomposed, results, seen = [], [], [], []
     random_f, svd32 = checks.random_f, checks.svd_mod.svd32
     eigensystem = checks.inv_mod.invariant_eigensystem
 
-    def counted_draw(rng, n=None):
+    def counted_draw(rng, n):
         rounds.append(random_f(rng, n))
         return rounds[-1]
 
     def counted_svd(f):
-        decomposed.append(np.shape(f)[:-2])
-        return svd32(f)
+        decomposed.append(np.array(f))
+        results.append(svd32(f))
+        return results[-1]
 
     def recorded_eigensystem(which, s):
         seen.append(s)
@@ -186,19 +207,74 @@ def test_trials_reuse_their_samples_decomposition(monkeypatch):
     monkeypatch.setattr(checks, "random_f", counted_draw)
     monkeypatch.setattr(checks.svd_mod, "svd32", counted_svd)
     monkeypatch.setattr(checks.inv_mod, "invariant_eigensystem", recorded_eigensystem)
-    r = _run_only(monkeypatch, "eigen_unit_norm", seed=7, trials=30)
-    assert r.passed and r.trials == 30
-    # One stacked svd32 call per round, on exactly that round's candidates.
-    assert decomposed == [f.shape[:-2] for f in rounds]
+    # This seed rejects one of its first 300 candidates: two rounds.
+    r = _run_only(monkeypatch, "eigen_unit_norm", seed=7, trials=300)
+    assert r.passed and r.trials == 300
     candidates = np.concatenate(rounds)
     accepted = candidates[svd32(candidates).sigma[1] > checks._MIN_SIGMA2]
-    # Three eigensystems (I1, I2, I3) per trial, all on the trial's sample.
-    assert len(seen) == 90 and len(accepted) == 30
-    for f, s in zip(np.repeat(accepted, 3, axis=0), seen):
-        expected = svd32(f)
-        assert s.sigma == expected.sigma
-        assert np.array_equal(s.u, expected.u)
-        assert np.array_equal(s.v, expected.v)
+    assert len(rounds) == 2 and len(accepted) == 300
+    assert len(decomposed) == len(rounds) + 1
+    for got, want in zip(decomposed, rounds + [accepted]):
+        assert np.array_equal(got, want)
+    assert len(seen) == 3
+    assert all(s is results[-1] for s in seen)
+
+
+_SAMPLED = [fn for fn in checks._CHECKS if getattr(fn, "sample", None) is not None]
+
+
+@pytest.mark.parametrize(
+    "check", _SAMPLED, ids=[fn.__name__.removeprefix("_check_") for fn in _SAMPLED]
+)
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_check_on_a_stack_equals_its_one_member_stacks(check, seed):
+    # A check on an n-stack gives bitwise the rows it gives, one at a time,
+    # on its n members as one-member stacks, and leaves the generator where
+    # those n calls leave it: each perturbation is drawn in trial order.
+    n = 7
+    whole, parts = np.random.default_rng(seed), np.random.default_rng(seed)
+    stacked = np.column_stack(check.__wrapped__(whole, *check.sample(whole, n)))
+    f, *decomposed = check.sample(parts, n)
+    rows = []
+    for k in range(n):
+        one = f[k : k + 1]
+        member = (one, me.svd32(one)) if decomposed else (one,)
+        rows.append(np.column_stack(check.__wrapped__(parts, *member)))
+    assert stacked.shape == (n, rows[0].shape[1])
+    assert np.array_equal(np.concatenate(rows), stacked)
+    assert whole.bit_generator.state == parts.bit_generator.state
+
+
+def test_the_stack_test_covers_every_sampled_check():
+    # 33 checks: 26 on Fs, one on symmetric 6x6 matrices, five FEM checks
+    # without a sampler, and fd_convergence.
+    assert len(_SAMPLED) == 27
+
+
+# An admissible F (entries in (-2, 2), I3 = 0.0526) whose projected sheet
+# Hessian has entries near 1e6, so that dense6's roundoff asymmetry, 4.7e-10,
+# is above the Jacobi oracle's absolute 1e-10 guard.
+_ASYMMETRIC_DENSE6_F = [
+    [1.680044931541751, -1.4733002159454753],
+    [-1.8706678432066626, 1.6392316168383967],
+    [1.1959735427354938, -1.0692431189688638],
+]
+
+
+def test_psd_projection_reports_an_oracle_rejection_instead_of_raising():
+    f = np.array([_ASYMMETRIC_DENSE6_F])
+    s = me.svd32(f)
+    assert me.invariants(s).i3[0] > 0.05
+    proj = me.project_psd(me.energy_eigensystem(checks._SHEET, s))
+    with pytest.raises(me.NotSymmetric):
+        me.jacobi_eigen_sym(proj.dense6()[0])
+    check = checks._check_psd_projection.__wrapped__
+    errors = np.column_stack(check(np.random.default_rng(0), f, s))
+    assert errors.shape == (1, 5) and np.isnan(errors).any()
+    r = checks._report("psd_projection", 1, 1e-10, errors, f)
+    assert not r.passed
+    assert np.isnan(r.max_error)
+    assert r.counterexample == _ASYMMETRIC_DENSE6_F
 
 
 @pytest.mark.parametrize(
@@ -216,17 +292,20 @@ def test_trials_reuse_their_samples_decomposition(monkeypatch):
 )
 @pytest.mark.parametrize("k", [1, 7, 100])
 def test_stacked_draw_equals_single_draws(sampler, k):
-    # n stacked draws give bitwise the pairs of n single draws, and leave
-    # the generator where they leave it.
+    # A k-stack is bitwise the k one-member stacks drawn one after another,
+    # with their decompositions, and leaves the generator where they leave
+    # it.
     stacked, single = np.random.default_rng(k), np.random.default_rng(k)
-    drawn = sampler(stacked, n=k)
-    assert len(drawn) == k
-    for got, want in zip(drawn, (sampler(single) for _ in range(k))):
-        assert np.array_equal(got[0], want[0])
-        if len(want) == 2:
-            assert got[1].sigma == want[1].sigma
-            assert np.array_equal(got[1].u, want[1].u)
-            assert np.array_equal(got[1].v, want[1].v)
+    drawn = sampler(stacked, k)
+    ones = [sampler(single, 1) for _ in range(k)]
+    assert drawn[0].shape[0] == k
+    assert np.array_equal(drawn[0], np.concatenate([one[0] for one in ones]))
+    if len(drawn) == 2:
+        s = drawn[1]
+        for i, (_, t) in enumerate(ones):
+            assert (s.sigma[0][i], s.sigma[1][i]) == (t.sigma[0][0], t.sigma[1][0])
+            assert np.array_equal(s.u[i], t.u[0])
+            assert np.array_equal(s.v[i], t.v[0])
     assert stacked.bit_generator.state == single.bit_generator.state
 
 
@@ -243,17 +322,23 @@ def test_registry_is_every_check_in_definition_order():
 
 def test_random_f_samplers():
     rng = np.random.default_rng(0)
-    for _ in range(50):
-        f = checks.random_f(rng)
-        assert f.shape == (3, 2)
-        assert np.all(np.abs(f) <= 2.0)
-        fn, sn = checks.random_f_nondegenerate(rng)
-        assert sn.sigma[1] > 0.05
-        fa, sa = checks.random_f_admissible(rng)
-        assert me.invariants(sa).i3 > 0.05
-        # Each pair carries its sample's own decomposition.
-        for sample, svd in ((fn, sn), (fa, sa)):
-            expected = me.svd32(sample)
-            assert svd.sigma == expected.sigma
-            assert np.array_equal(svd.u, expected.u)
-            assert np.array_equal(svd.v, expected.v)
+    f = checks.random_f(rng, 50)
+    assert f.shape == (50, 3, 2)
+    assert np.all(np.abs(f) <= 2.0)
+    fn, sn = checks.random_f_nondegenerate(rng, 50)
+    assert np.all(sn.sigma[1] > 0.05)
+    fg, sg = checks.random_f_gapped(rng, 50)
+    assert np.all(sg.sigma[1] > 0.05) and np.all(sg.sigma[0] - sg.sigma[1] > 0.05)
+    fa, sa = checks.random_f_admissible(rng, 50)
+    assert np.all(me.invariants(sa).i3 > 0.05)
+    # Each stack carries its members' own decompositions.
+    for sample, svd in ((fn, sn), (fg, sg), (fa, sa)):
+        assert sample.shape == (50, 3, 2)
+        for k, one in enumerate(sample):
+            expected = me.svd32(one)
+            assert (svd.sigma[0][k], svd.sigma[1][k]) == expected.sigma
+            assert np.array_equal(svd.u[k], expected.u)
+            assert np.array_equal(svd.v[k], expected.v)
+    (a,) = checks._random_sym6(rng, 5)
+    assert a.shape == (5, 6, 6)
+    assert np.array_equal(a, np.swapaxes(a, 1, 2))

@@ -125,7 +125,7 @@ def test_check_failure_exit_code(capsys, monkeypatch):
 
 def test_check_json_is_strict_when_an_error_is_nan(capsys, monkeypatch):
     def nan_hvp(svd, fdot):
-        nan = np.full((3, 2), np.nan)
+        nan = np.full(np.shape(fdot), np.nan)
         return nan, nan, nan
 
     def reject(token):

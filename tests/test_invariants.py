@@ -220,7 +220,7 @@ def test_hvp_of_a_stack_equals_its_members_bitwise():
     # k each, (B..., k, 3, 2): k != B, k = B, and two batch axes.
     for batch, k in (((4,), ()), ((4,), (5,)), ((4,), (4,)), ((2, 3), (2,))):
         for _ in range(5):
-            fs = np.array([random_f_admissible(rng)[0] for _ in range(math.prod(batch))])
+            fs, _ = random_f_admissible(rng, math.prod(batch))
             fdots = rng.standard_normal(fs.shape[:1] + k + (3, 2))
             s = svd32(fs.reshape(batch + (3, 2)))
             for hvp in kernels:

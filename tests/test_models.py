@@ -192,8 +192,9 @@ def test_sheet_eigensystem_diag21(diag21):
 def test_sheet_matches_generic_slotwise():
     model = NeoHookeanSheet(1.0)
     rng = np.random.default_rng(17)
-    for _ in range(100):
-        _, s = random_f_admissible(rng)
+    fs, _ = random_f_admissible(rng, 100)
+    for f in fs:
+        s = svd32(f)
         a = sheet_eigensystem(1.0, s)
         b = energy_eigensystem(model, s)
         scale = max(1.0, float(np.max(np.abs(b.values))))
@@ -262,9 +263,9 @@ def test_project_psd_apply_and_dense(diag21):
 def test_project_psd_idempotent_and_psd_oracle():
     rng = np.random.default_rng(23)
     model = NeoHookeanSheet(1.0)
-    for _ in range(50):
-        _, s = random_f_admissible(rng)
-        proj = project_psd(energy_eigensystem(model, s))
+    fs, _ = random_f_admissible(rng, 50)
+    for f in fs:
+        proj = project_psd(energy_eigensystem(model, svd32(f)))
         again = project_psd(proj)
         assert np.array_equal(again.values, proj.values)
         assert np.min(proj.values) >= 0.0
@@ -303,7 +304,7 @@ def _arrays(out):
 def test_kernel_on_a_stack_equals_its_members_bitwise(kernel):
     fn = _STACKED_KERNELS[kernel]
     rng = np.random.default_rng(5)
-    fs = np.array([random_f_admissible(rng)[0] for _ in range(200)])
+    fs, _ = random_f_admissible(rng, 200)
     xs = rng.standard_normal(fs.shape)
     stacked = _arrays(fn(fs, svd32(fs), xs))
     for i, (f, x) in enumerate(zip(fs, xs)):
