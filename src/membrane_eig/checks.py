@@ -196,6 +196,13 @@ def _jacobi(stack):
     return values, vectors
 
 
+def _each(s):
+    """The (n,) decompositions s as (n, 1): by broadcasting, member t then
+    meets row t of an (n, k, 3, 2) stack."""
+    sigma = tuple(x[:, None] for x in s.sigma)
+    return svd_mod.Svd32(u=s.u[:, None], sigma=sigma, v=s.v[:, None])
+
+
 def _max_abs(x):
     """The largest absolute entry of each matrix of a stack x (..., r, c)."""
     return np.max(np.abs(x), axis=(-2, -1))
@@ -223,24 +230,19 @@ def _check_svd_conventions(rng, f, s):
     ]
 
 
-# svd_rates takes one decomposition: each F's lone svd32, bitwise its member.
 @_check(1e-10, random_f_gapped)
 def _check_svd_rate_consistency(rng, f, s):
     fdot = _unit_fdot(rng, len(f))
-    lone = [svd_mod.svd32(fk) for fk in f]
-    rates = [svd_mod.svd_rates(sk, dk) for sk, dk in zip(lone, fdot)]
-    rebuilt = np.array([r.reconstruct(sk) for r, sk in zip(rates, lone)])
-    return [_max_abs(fdot - rebuilt)]
+    return [_max_abs(fdot - svd_mod.svd_rates(s, fdot).reconstruct(s))]
 
 
 @_check(1e-8, random_f_gapped)
 def _check_svd_rate_prediction(rng, f, s):
     h = 1e-5
     fdot = _unit_fdot(rng, len(f))
-    rates = [svd_mod.svd_rates(svd_mod.svd32(fk), dk) for fk, dk in zip(f, fdot)]
-    sigma_dot = np.array([r.sigma_dot for r in rates])
+    sigma_dot = svd_mod.svd_rates(s, fdot).sigma_dot
     actual = svd_mod.svd32(f + h * fdot).sigma
-    return [np.abs(actual[k] - (s.sigma[k] + h * sigma_dot[:, k])) for k in (0, 1)]
+    return [np.abs(actual[k] - (s.sigma[k] + h * sigma_dot[k])) for k in (0, 1)]
 
 
 @_check(1e-8, random_f_nondegenerate)
@@ -300,7 +302,7 @@ def _check_invariant_hvp_linearity(rng, f, s):
     draw = rng.uniform(-2.0, 2.0, size=(len(f), 14))
     x, y = draw[:, :6].reshape(-1, 3, 2), draw[:, 6:12].reshape(-1, 3, 2)
     a, b = draw[:, 12, None, None], draw[:, 13, None, None]
-    hvps = inv_mod.invariant_hvp(s, np.stack([a * x + b * y, x, y], axis=1))
+    hvps = inv_mod.invariant_hvp(_each(s), np.stack([a * x + b * y, x, y], axis=1))
     return [_max_abs(h[:, 0] - (a * h[:, 1] + b * h[:, 2])) for h in hvps]
 
 
@@ -308,7 +310,7 @@ def _check_invariant_hvp_linearity(rng, f, s):
 def _check_invariant_hvp_symmetry(rng, f, s):
     xy = random_f(rng, 2 * len(f)).reshape(-1, 2, 3, 2)
     x, y = xy[:, 0], xy[:, 1]
-    hvps = inv_mod.invariant_hvp(s, xy)
+    hvps = inv_mod.invariant_hvp(_each(s), xy)
     return [
         np.abs(np.sum(y * h[:, 0], axis=(1, 2)) - np.sum(x * h[:, 1], axis=(1, 2)))
         for h in hvps
@@ -342,7 +344,7 @@ def _check_eigen_residual(rng, f, s):
     for k, which in enumerate(("I1", "I2", "I3")):
         eig = inv_mod.invariant_eigensystem(which, s)
         lam, q = eig.values, eig.matrices
-        hq = inv_mod.invariant_hvp(s, q)[k]
+        hq = inv_mod.invariant_hvp(_each(s), q)[k]
         resid = _max_abs(hq - lam[..., None, None] * q)
         errors.append(resid / np.maximum(1.0, np.abs(lam)))
     return errors
@@ -362,7 +364,7 @@ def _check_eigen_reconstruction(rng, f, s):
 def _check_i1_null_space(rng, f, s):
     eig = inv_mod.invariant_eigensystem("I1", s)
     # scale, opposed scale, flip
-    h1 = inv_mod.invariant_hvp(s, eig.matrices[:, [0, 1, 3]])[0]
+    h1 = inv_mod.invariant_hvp(_each(s), eig.matrices[:, [0, 1, 3]])[0]
     return [_max_abs(h1)]
 
 

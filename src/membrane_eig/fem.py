@@ -312,15 +312,25 @@ def _pin_vertex(k, v):
     raise ValueError(f"pin {k} has vertex {v!r}, not an integer index")
 
 
+def _as_floats(x, message):
+    """``x`` as a float array, or ValueError(message) for an int that no
+    float holds (beyond about 1.8e308)."""
+    try:
+        return np.asarray(x, dtype=float)
+    except OverflowError:
+        raise ValueError(message) from None
+
+
 def make_problem(rest_positions, triangles, model, pins=None, gravity=None):
     """Build a problem's rest data and validate its pins and loads.
 
     ``pins`` maps vertex index -> target position (dict or iterable of
     (vertex, target) pairs); each target and ``gravity`` (a force on every
     vertex) are 3 finite numbers.  Raises ValueError on malformed input,
-    naming the first triangle or pin with a bool or fractional vertex
-    index and the first triangle with a vertex index outside [0, N), and
-    when gravity is nonzero and an unpinned vertex is in no triangle.
+    naming the first triangle or pin with a bool, fractional or string
+    vertex index and the first triangle with a vertex index outside
+    [0, N), for an int that no float or index holds, and when gravity is
+    nonzero and an unpinned vertex is in no triangle.
     """
     rest_positions = np.asarray(rest_positions, dtype=float)
     shape = rest_positions.shape
@@ -328,9 +338,9 @@ def make_problem(rest_positions, triangles, model, pins=None, gravity=None):
         raise ValueError("rest positions must be a finite (N, 3) array")
     elements = np.asarray(triangles)
     kind = elements.dtype.kind
-    if kind in "bf":  # bools and fractions would cast to indices silently
+    if kind in "bfUS":  # bools, fractions and strings would cast silently
         rows = elements.reshape(-1, 3)
-        if kind == "b":
+        if kind != "f":
             bad = np.arange(len(rows))
         else:
             whole = np.isfinite(rows) & (rows == np.trunc(rows))
@@ -340,28 +350,34 @@ def make_problem(rest_positions, triangles, model, pins=None, gravity=None):
                 f"triangle {bad[0]} has vertex indices {rows[bad[0]].tolist()}, "
                 "not integers"
             )
-    elements = elements.astype(int).reshape(-1, 3)
+    elements = elements.reshape(-1, 3)
     n = len(rest_positions)
+    # Range first: an index beyond the int range would overflow the cast.
     bad = np.flatnonzero(((elements < 0) | (elements >= n)).any(axis=1))
     if bad.size:
         raise ValueError(f"triangle {bad[0]} has a vertex index outside [0, {n})")
+    elements = elements.astype(int)
     dm_inv, area = _rest_frames(rest_positions, elements)
     if pins:
         items = pins.items() if isinstance(pins, dict) else list(pins)
-        pv = np.array([_pin_vertex(k, v) for k, (v, _) in enumerate(items)], dtype=int)
-        pt = np.array([np.asarray(t, dtype=float) for _, t in items])
-        if len(np.unique(pv)) != len(pv):
+        # Python ints, checked before the cast that a huge index would overflow.
+        pv = [_pin_vertex(k, v) for k, (v, _) in enumerate(items)]
+        if len(set(pv)) != len(pv):
             raise ValueError("duplicate pinned vertex")
-        if pv.size and (pv.min() < 0 or pv.max() >= n):
+        if not all(0 <= v < n for v in pv):
             raise ValueError("pinned vertex index out of range")
+        pv = np.array(pv, dtype=int)
+        bad_target = "each pin target must be 3 finite numbers"
+        pt = np.array([_as_floats(t, bad_target) for _, t in items])
         if pt.shape != (len(pv), 3) or not np.all(np.isfinite(pt)):
-            raise ValueError("each pin target must be 3 finite numbers")
+            raise ValueError(bad_target)
     else:
         pv = np.zeros(0, dtype=int)
         pt = np.zeros((0, 3))
-    g = np.zeros(3) if gravity is None else np.asarray(gravity, dtype=float)
+    bad_gravity = "gravity must be 3 finite numbers"
+    g = np.zeros(3) if gravity is None else _as_floats(gravity, bad_gravity)
     if g.shape != (3,) or not np.all(np.isfinite(g)):
-        raise ValueError("gravity must be 3 finite numbers")
+        raise ValueError(bad_gravity)
     loose = np.ones(n, dtype=bool)
     loose[elements] = loose[pv] = False
     if g.any() and loose.any():  # nothing would hold it against the load

@@ -30,7 +30,9 @@ the rotated frame; the last two live entirely in that row.
 
 Every function takes one decomposition or a stack of them (see ``svd32``)
 through the same code, and a stack's results equal its members' bitwise.
-``invariant_hvp`` also takes k perturbations per decomposition.
+Shapes follow the ``svd`` module's one rule, numpy broadcasting over the
+leading batch axes, so ``invariant_hvp`` takes k perturbations per
+decomposition the way that rule gives them.
 """
 
 import math
@@ -38,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .svd import SIGMA_EPS, _per_member
+from .svd import SIGMA_EPS
 
 __all__ = [
     "EigenSystem6",
@@ -147,10 +149,9 @@ _C_SLOTS_I2 = _slot_coeffs((1.0, 0.0), (0.0, 1.0))
 def _eigensystem6(svd, values, coeffs):
     """Pair six eigenvalues with the lifts of a (..., 6, 3, 2) coefficient
     stack; a (6, 3, 2) stack is shared by every decomposition of a stack."""
-    missing = svd.u.ndim + 1 - coeffs.ndim
-    if missing:
-        coeffs = coeffs.reshape((1,) * missing + coeffs.shape)
-    return EigenSystem6(values=_pack(values), matrices=svd.lift(coeffs))
+    vt = np.swapaxes(svd.v, -1, -2)
+    matrices = svd.u[..., None, :, :] @ coeffs @ vt[..., None, :, :]
+    return EigenSystem6(values=_pack(values), matrices=matrices)
 
 
 def invariants(svd):
@@ -178,7 +179,7 @@ def invariant_gradients(svd, f):
 def _hvp_i1(svd, w):
     # w = U^T Fdot V, shaped as fdot.  Divides by sigma1 + sigma2, sigma1,
     # sigma2.
-    s1, s2 = (_per_member(s, svd, w) for s in svd.sigma)
+    s1, s2 = svd.sigma
     s12 = s1 + s2
     coeffs = np.zeros_like(w)
     coeffs[..., 0, 1] = (w[..., 0, 1] - w[..., 1, 0]) / s12
@@ -190,7 +191,7 @@ def _hvp_i1(svd, w):
 
 def _hvp_i3(svd, w):
     # Divides by sigma1 and sigma2.
-    s1, s2 = (_per_member(s, svd, w) for s in svd.sigma)
+    s1, s2 = svd.sigma
     coeffs = np.empty_like(w)
     coeffs[..., 0, 0] = w[..., 1, 1]
     coeffs[..., 0, 1] = -w[..., 1, 0]
@@ -212,11 +213,12 @@ def invariant_hvp(svd, fdot):
     """Hessian-vector products (H1:Fdot, H2:Fdot, H3:Fdot).
 
     ``svd`` is one decomposition or a stack of them, (B...), and ``fdot``
-    holds one 3x2 matrix per decomposition, (B..., 3, 2), or k of them,
-    (B..., k, 3, 2).  Each product has fdot's shape, and a stack's
-    products equal its members' bitwise.  H2:Fdot = 2 Fdot exactly.  H1
-    and H3 are evaluated through the rotated frame and require
-    nondegenerate singular values.
+    (B..., 3, 2) broadcasts against it: one decomposition takes k
+    perturbations as (k, 3, 2), and a stack given a trailing batch axis of
+    length 1 takes them as (B..., k, 3, 2).  Each product has the
+    broadcast shape, and a stack's products equal its members' bitwise.
+    H2:Fdot = 2 Fdot exactly.  H1 and H3 are evaluated through the
+    rotated frame and require nondegenerate singular values.
 
     Raises
     ------

@@ -8,9 +8,9 @@ The invariants may be (E,) arrays over a stack of elements; ``derivs`` then
 answers with arrays and raises DomainError naming the first element outside
 the domain.  The eigensystem functions, ``project_psd``,
 ``energy_gradient`` and ``energy_hvp`` take one decomposition or a stack
-of them through the same code; ``energy_hvp``, like ``invariant_hvp``,
-takes one fdot or a (k, 3, 2) stack of them per decomposition.  The
-generic assembler ``energy_eigensystem`` turns those scalars into the full
+of them through the same code, under the ``svd`` module's one shape
+rule: numpy broadcasting over the leading batch axes.  The generic
+assembler ``energy_eigensystem`` turns those scalars into the full
 six-pair Hessian eigensystem of psi(F):
 
 * twist, flip and the two normal modes are always eigenmatrices, with
@@ -44,6 +44,7 @@ gamma = sqrt(16 I3^2 + beta^2), beta = 3 (s2^2 - s1^2), and eigenvectors
 smaller.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,7 +59,6 @@ from .invariants import (
     invariant_hvp,
     invariants,
 )
-from .svd import _per_member
 
 __all__ = [
     "NeoHookeanSheet",
@@ -89,7 +89,11 @@ class DomainError(ValueError):
 
 def _check_mu(mu):
     """Raise ValueError unless the stiffness ``mu`` is finite and > 0."""
-    if not (np.isfinite(mu) and mu > 0.0):
+    try:
+        ok = math.isfinite(mu) and mu > 0.0
+    except OverflowError:  # an int that no float holds
+        ok = False
+    if not ok:
         raise ValueError(f"mu must be finite and > 0, got {mu}")
 
 
@@ -163,17 +167,16 @@ class NeoHookeanSheet:
         )
 
 
-def _per_matrix(c, svd, x):
-    """Shape ``c``, one coefficient per decomposition of ``svd`` or a
-    scalar, to scale the 3x2 matrices ``x`` (see ``svd._per_member``)."""
-    c = _per_member(c, svd, x)
+def _per_matrix(c):
+    """Shape ``c``, one coefficient per decomposition or a scalar, to scale
+    that decomposition's 3x2 matrices."""
     return c[..., None, None] if np.ndim(c) else c
 
 
 def _stress(d, svd, f):
     """d psi / dF = sum_k f_k g_k for one F (3x2) or a stack (..., 3, 2)."""
     g1, g2, g3 = invariant_gradients(svd, f)
-    c1, c2, c3 = (_per_matrix(c, svd, f) for c in (d.f1, d.f2, d.f3))
+    c1, c2, c3 = (_per_matrix(c) for c in (d.f1, d.f2, d.f3))
     return c1 * g1 + c2 * g2 + c3 * g3
 
 
@@ -186,15 +189,16 @@ def energy_hvp(model, svd, fdot):
     """Hessian-vector product of psi(F) applied to fdot.
 
     Takes the shapes ``invariant_hvp`` takes: one decomposition or a stack
-    of them, (B...), with fdot (B..., 3, 2) or (B..., k, 3, 2); the result
-    has fdot's shape, and a stack's results equal its members' bitwise.
+    of them, (B...), with fdot (B..., 3, 2) broadcast against it; the
+    result has the broadcast shape, and a stack's results equal its
+    members' bitwise.
     Assembles sum_k f_k (H_k : fdot) + sum_kl f_kl (g_l : fdot) g_k, with
     H_k : fdot from ``invariant_hvp``.  That call is made only when some f1
     or f3 is nonzero, so a pure-I2 model works at any decomposition.
     """
     fdot = np.asarray(fdot, dtype=float)
     d = model.derivs(invariants(svd))
-    c1, c2, c3 = (_per_matrix(c, svd, fdot) for c in (d.f1, d.f2, d.f3))
+    c1, c2, c3 = (_per_matrix(c) for c in (d.f1, d.f2, d.f3))
     out = (2.0 * c2) * fdot
     if np.count_nonzero(d.f1) or np.count_nonzero(d.f3):
         h1, _, h3 = invariant_hvp(svd, fdot)
@@ -203,7 +207,6 @@ def energy_hvp(model, svd, fdot):
     if np.count_nonzero(sp):
         g = np.stack(invariant_gradients(svd, svd.reconstruct()), axis=-3)
         sp = np.broadcast_to(sp, g.shape[:-3] + (3, 3))
-        g, sp = _per_member(g, svd, fdot), _per_member(sp, svd, fdot)
         dots = np.einsum("...lij,...ij->...l", g, fdot)
         out = out + np.einsum("...kl,...l,...kij->...ij", sp, dots, g)
     return out

@@ -14,8 +14,9 @@ Schema (paths are resolved relative to the scene file's directory)::
 
 Each field must have its JSON type: ``mu`` is a number, ``vertex`` an
 integer, each ``target`` an array of numbers; true and false are not
-numbers.  The sheet's area floor is the constant ``models.I3_FLOOR``, so a
-model that sets ``i3_floor`` is rejected.
+numbers, and no number may lie beyond the float range (~1.8e308).  The
+sheet's area floor is the constant ``models.I3_FLOOR``, so a model that
+sets ``i3_floor`` is rejected.
 
 Outputs: one OBJ per accepted Newton iterate (frame_0000.obj is the initial
 state), ``report.json`` with the solve trace, and ``convergence.csv`` with
@@ -35,6 +36,15 @@ __all__ = ["load_scene", "solve_scene", "solve_and_export"]
 
 def _is_number(x):
     return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _fits_float(x):
+    # JSON integers have any size, but no float holds one beyond ~1.8e308.
+    try:
+        float(x)
+    except OverflowError:
+        return False
+    return True
 
 
 _JSON_TYPES = {
@@ -63,6 +73,10 @@ def _field(spec, key, where, kind, default=None):
         raise ValueError(
             f"{where} {key!r} must be a JSON {kind}, got {json.dumps(value)}"
         )
+    if kind in ("number", "integer", "array of numbers"):
+        numbers = value if isinstance(value, list) else [value]
+        if not all(map(_fits_float, numbers)):
+            raise ValueError(f"{where} {key!r} has a number beyond the float range")
     return value
 
 
@@ -83,8 +97,8 @@ def _build_model(spec):
 def load_scene(path):
     """Parse a scene file.
 
-    Raises ValueError naming the key when a required field is missing or
-    a field has the wrong JSON type.
+    Raises ValueError naming the key when a required field is missing, a
+    field has the wrong JSON type, or a number is beyond the float range.
 
     Returns
     -------

@@ -43,6 +43,12 @@ off-diagonal 2x2 part is a linear system for (wz, al):
      [sigma1, sigma2]]
 
 singular exactly when sigma1 = sigma2 or sigma1 + sigma2 = 0.
+
+The kernels here and in ``invariants`` and ``models`` have one shape rule:
+numpy broadcasting over leading batch axes.  A decomposition of a (B...)
+stack takes matrices (B..., 3, 2).  One decomposition takes k of them as
+(k, 3, 2); a stack takes k per member, (B..., k, 3, 2), once its arrays
+carry a trailing batch axis of length 1, (B..., 1).
 """
 
 from dataclasses import dataclass
@@ -106,33 +112,18 @@ class Svd32:
     def lift(self, coeffs):
         """Map rotated-frame coefficients to world space: U @ C @ V^T.
 
-        ``coeffs`` is one 3x2 matrix or a (k, 3, 2) stack of them per
-        decomposition; the result has the same shape.  This inverts
+        ``coeffs`` (..., 3, 2) broadcasts against the decomposition's batch
+        axes, and the result has the broadcast shape.  This inverts
         C = U^T Fdot V.
         """
-        u = _per_member(self.u, self, coeffs)
-        vt = _per_member(np.swapaxes(self.v, -1, -2), self, coeffs)
-        return u @ coeffs @ vt
+        return self.u @ coeffs @ np.swapaxes(self.v, -1, -2)
 
     def rotate(self, x):
         """Map world-space matrices to rotated-frame coefficients: U^T @ X @ V.
 
-        The inverse of ``lift``, taking the same shapes.
+        The inverse of ``lift``, broadcasting the same way.
         """
-        ut = _per_member(np.swapaxes(self.u, -1, -2), self, x)
-        v = _per_member(self.v, self, x)
-        return ut @ np.asarray(x, dtype=float) @ v
-
-
-def _per_member(a, svd, x):
-    """View ``a`` (one value or block per decomposition of ``svd``: (B...)
-    or (B..., ...)) to line up with ``x``, one 3x2 per decomposition,
-    (B..., 3, 2), or k of them, (B..., k, 3, 2); for the latter a stack's
-    ``a`` gains an axis after B.  The one rule for the optional k axis."""
-    nb = svd.u.ndim - 2
-    if nb and np.ndim(x) > nb + 2 and np.ndim(a) >= nb:
-        return a[(slice(None),) * nb + (None,)]
-    return a
+        return np.swapaxes(self.u, -1, -2) @ np.asarray(x, dtype=float) @ self.v
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,7 +132,7 @@ class SvdRates:
 
     ``omega`` holds (omega_x, omega_y, omega_z), the angular velocity of U
     expressed in the frame of U's columns; ``alpha`` is the rotation rate
-    of V.
+    of V.  Each rate is a float, or a (B...) array for a stack.
     """
 
     sigma_dot: tuple
@@ -149,27 +140,18 @@ class SvdRates:
     alpha: float
 
     def reconstruct(self, svd):
-        """Rebuild the velocity U @ W @ V^T encoded by these rates."""
+        """Rebuild the velocity U @ W @ V^T encoded by these rates, (B..., 3, 2)
+        for the (B...) decompositions ``svd`` they were taken at."""
         s1, s2 = svd.sigma
         wx, wy, wz = self.omega
         al = self.alpha
-        w = np.array(
-            [
-                [self.sigma_dot[0], -(s2 * wz + s1 * al)],
-                [s1 * wz + s2 * al, self.sigma_dot[1]],
-                [-s1 * wy, s2 * wx],
-            ]
-        )
+        w = np.empty(np.shape(s1) + (3, 2))
+        w[..., 0, 0], w[..., 1, 1] = self.sigma_dot
+        w[..., 0, 1] = -(s2 * wz + s1 * al)
+        w[..., 1, 0] = s1 * wz + s2 * al
+        w[..., 2, 0] = -s1 * wy
+        w[..., 2, 1] = s2 * wx
         return svd.lift(w)
-
-
-def _as_mat32(f, name="f"):
-    f = np.asarray(f, dtype=float)
-    if f.shape != (3, 2):
-        raise ValueError(f"{name} must be 3x2, got shape {f.shape}")
-    if not np.all(np.isfinite(f)):
-        raise ValueError(f"{name} has non-finite entries")
-    return f
 
 
 def _sum3(x):
@@ -289,46 +271,55 @@ def svd_rates(svd, fdot):
     Parameters
     ----------
     svd : Svd32
-        One decomposition (not a stack) at the base point.
-    fdot : (3, 2) array_like
-        Perturbation direction.
+        One decomposition or a stack of them, (B...), at the base point.
+    fdot : (B..., 3, 2) array_like
+        One perturbation direction per decomposition.
 
     Returns
     -------
     SvdRates
+        Each rate is a (B...) array, and a stack's rates equal its members'
+        bitwise.  For one decomposition each rate is a float.
 
     Raises
     ------
     ValueError
-        If ``svd`` is a stack of decompositions or fdot is not a finite 3x2.
+        If fdot is not finite or not shaped (B..., 3, 2).
     DegenerateRates
-        If a rate component is not identifiable: omega_y needs sigma1 >
-        SIGMA_EPS, omega_x needs sigma2 > SIGMA_EPS, and (omega_z, alpha)
-        need |sigma1 - sigma2| > SIGMA_EPS and sigma1 + sigma2 > SIGMA_EPS.
+        If a rate component of some decomposition is not identifiable:
+        omega_y needs sigma1 > SIGMA_EPS, omega_x needs sigma2 > SIGMA_EPS,
+        and (omega_z, alpha) need |sigma1 - sigma2| > SIGMA_EPS and
+        sigma1 + sigma2 > SIGMA_EPS.
     """
-    if svd.u.ndim != 2:
-        raise ValueError("svd_rates takes one decomposition, not a stack")
-    fdot = _as_mat32(fdot, "fdot")
+    fdot = np.asarray(fdot, dtype=float)
+    batch = svd.u.shape[:-2]
+    if fdot.shape != batch + (3, 2):
+        raise ValueError(
+            f"fdot must hold one 3x2 per decomposition, {batch + (3, 2)}, "
+            f"got shape {fdot.shape}"
+        )
+    if np.count_nonzero(np.isfinite(fdot)) != fdot.size:
+        raise ValueError("fdot has non-finite entries")
     s1, s2 = svd.sigma
-    if s1 <= SIGMA_EPS:
+    # count_nonzero reads a Python bool and a boolean array alike.
+    if np.count_nonzero(s1 <= SIGMA_EPS):
         raise DegenerateRates("omega_y", svd.sigma)
-    if s2 <= SIGMA_EPS:
+    if np.count_nonzero(s2 <= SIGMA_EPS):
         raise DegenerateRates("omega_x", svd.sigma)
-    if s1 - s2 <= SIGMA_EPS or s1 + s2 <= SIGMA_EPS:
+    if np.count_nonzero((s1 - s2 <= SIGMA_EPS) | (s1 + s2 <= SIGMA_EPS)):
         raise DegenerateRates("omega_z_alpha", svd.sigma)
 
     w = svd.rotate(fdot)
-    wy = -w[2, 0] / s1
-    wx = w[2, 1] / s2
+    wy = -w[..., 2, 0] / s1
+    wx = w[..., 2, 1] / s2
     # 2x2 solve for the coupled in-plane rotation rates.
-    r1 = -w[0, 1]
-    r2 = w[1, 0]
+    r1 = -w[..., 0, 1]
+    r2 = w[..., 1, 0]
     det = s2 * s2 - s1 * s1
     wz = (s2 * r1 - s1 * r2) / det
     al = (s2 * r2 - s1 * r1) / det
-    return SvdRates(
-        sigma_dot=(float(w[0, 0]), float(w[1, 1])),
-        omega=(float(wx), float(wy), float(wz)),
-        alpha=float(al),
-    )
-
+    rates = (w[..., 0, 0], w[..., 1, 1], wx, wy, wz, al)
+    # One decomposition's rates unwrap to floats, as svd32 unwraps one F.
+    if not batch:
+        rates = tuple(map(float, rates))
+    return SvdRates(sigma_dot=rates[:2], omega=rates[2:5], alpha=rates[5])

@@ -229,6 +229,13 @@ MALFORMED_SCENES = {
     "fractional_max_iters": (lambda spec: spec.update(max_iters=2.5), "'max_iters'"),
     "bool_tol": (lambda spec: spec.update(tol=True), "'tol'"),
     "string_gravity": (lambda spec: spec.update(gravity=["0", "0", "-1"]), "'gravity'"),
+    # JSON integers have any size; one that no float holds is rejected by
+    # the name of its key.
+    "huge_mu": (lambda spec: spec["model"].update(mu=10**400), "'mu'"),
+    "huge_tol": (lambda spec: spec.update(tol=10**400), "'tol'"),
+    "huge_vertex": (lambda spec: spec["pins"][0].update(vertex=10**400), "'vertex'"),
+    "huge_target": (lambda spec: spec["pins"][0].update(target=[10**400, 0, 0]), "'target'"),
+    "huge_gravity": (lambda spec: spec.update(gravity=[0, 0, -(10**400)]), "'gravity'"),
 }
 
 

@@ -88,16 +88,21 @@ def test_make_problem_validation():
         me.make_problem(UNIT_TRIANGLE, TRI, me.NeoHookeanSheet(1.0), pins={0: [np.nan, 0, 0]})
     with pytest.raises(ValueError):
         me.make_problem(UNIT_TRIANGLE, TRI, me.NeoHookeanSheet(1.0), pins={0: [0, 0]})
-    for gravity in ([0.0, -1.0], [0.0, 0.0, np.nan], [[0.0, 0.0, -1.0]]):
+    for gravity in ([0.0, -1.0], [0.0, 0.0, np.nan], [[0.0, 0.0, -1.0]], [0, 0, 10**400]):
         with pytest.raises(ValueError):
             me.make_problem(UNIT_TRIANGLE, TRI, me.NeoHookeanSheet(1.0), gravity=gravity)
+    # An int that no float or index holds is malformed input.
+    with pytest.raises(ValueError, match="pin target"):
+        me.make_problem(UNIT_TRIANGLE, TRI, me.NeoHookeanSheet(1.0), pins={0: [10**400, 0, 0]})
+    with pytest.raises(ValueError, match="pinned vertex index out of range"):
+        me.make_problem(UNIT_TRIANGLE, TRI, me.NeoHookeanSheet(1.0), pins={10**400: [0, 0, 0]})
     # No gradient meets a NaN or negative tolerance; 0 is the roundoff floor.
     for tol in (np.nan, -1e-8):
         with pytest.raises(ValueError, match="tol"):
             me.NewtonConfig(tol=tol)
     assert me.NewtonConfig(tol=0.0).tol == 0.0
     outside = r"triangle 1 has a vertex index outside \[0, 3\)"
-    for bad in ([0, 1, -1], [0, 3, 2], [2**40, 0, 1]):
+    for bad in ([0, 1, -1], [0, 3, 2], [2**40, 0, 1], [0, 1, 10**400], [0, 1, 2**63]):
         with pytest.raises(ValueError, match=outside):
             me.make_problem(UNIT_TRIANGLE, [TRI[0], bad], me.NeoHookeanSheet(1.0))
     # A NaN rest vertex would give a NaN area, which passes the area floor;
@@ -109,7 +114,12 @@ def test_make_problem_validation():
 
 @pytest.mark.parametrize(
     "tris, first",
-    [([[0.7, 1, 2]], 0), ([TRI[0], [0.0, 1.0, np.nan]], 1), ([[True, False, True]], 0)],
+    [
+        ([[0.7, 1, 2]], 0),
+        ([TRI[0], [0.0, 1.0, np.nan]], 1),
+        ([[True, False, True]], 0),
+        ([["0", "1", "2"]], 0),
+    ],
 )
 def test_make_problem_rejects_fractional_and_bool_triangles(tris, first):
     # Cast to int, [0.7, 1, 2] would have become [0, 1, 2].

@@ -217,12 +217,13 @@ def test_hvp_of_a_stack_equals_its_members_bitwise():
                         assert h.shape == stack.shape
                         assert np.array_equal(h[i], one)
     # A stack of decompositions (B...) with one Fdot each, (B..., 3, 2), or
-    # k each, (B..., k, 3, 2): k != B, k = B, and two batch axes.
+    # k each, (B..., k, 3, 2), against the stack with a trailing batch axis
+    # of length 1, (B..., 1): k != B, k = B, and two batch axes.
     for batch, k in (((4,), ()), ((4,), (5,)), ((4,), (4,)), ((2, 3), (2,))):
         for _ in range(5):
             fs, _ = random_f_admissible(rng, math.prod(batch))
             fdots = rng.standard_normal(fs.shape[:1] + k + (3, 2))
-            s = svd32(fs.reshape(batch + (3, 2)))
+            s = svd32(fs.reshape(batch + (1,) * len(k) + (3, 2)))
             for hvp in kernels:
                 hvps = hvp(s, fdots.reshape(batch + k + (3, 2)))
                 for i, (f, fdot) in enumerate(zip(fs, fdots)):

@@ -92,13 +92,19 @@ def test_sheet_domain_floor():
             NeoHookeanSheet(mu)
 
 
-@pytest.mark.parametrize("mu", [0.0, -1.0, np.nan, np.inf])
+HUGE = [pytest.param(10**400, id="huge"), pytest.param(-(10**400), id="-huge")]
+
+
+@pytest.mark.parametrize("mu", [0.0, -1.0, np.nan, np.inf] + HUGE)
 def test_sheet_eigensystem_rejects_bad_mu(diag21, mu):
     # The same check as NeoHookeanSheet's, and not a DomainError: a bad mu
-    # is malformed input, not an F outside the domain.
+    # is malformed input, not an F outside the domain.  An int that no
+    # float holds is such an input too.
     with pytest.raises(ValueError, match="mu must be finite and > 0") as exc:
         sheet_eigensystem(mu, diag21[1])
     assert not isinstance(exc.value, DomainError)
+    with pytest.raises(ValueError, match="mu must be finite and > 0"):
+        NeoHookeanSheet(mu)
 
 
 def test_energy_gradient_diag21(diag21):

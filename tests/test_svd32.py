@@ -163,11 +163,35 @@ def test_sigma_eps_is_the_rate_threshold():
         svd_rates(svd32(f), np.ones((3, 2)))
 
 
-def test_rates_reject_a_stack_of_decompositions():
-    s = svd32(np.array([np.diag([2.0, 1.0, 0.0])[:, :2]] * 2))
-    with pytest.raises(ValueError, match="one decomposition") as exc:
-        svd_rates(s, np.ones((3, 2)))
-    assert not isinstance(exc.value, DegenerateRates)
+def test_rates_of_a_stack_equal_its_members_bitwise():
+    rng = np.random.default_rng(23)
+    fs = rng.uniform(-2.0, 2.0, size=(30, 3, 2))
+    fdots = rng.uniform(-1.0, 1.0, size=fs.shape)
+    s = svd32(fs)
+    rates = svd_rates(s, fdots)
+    rebuilt = rates.reconstruct(s)
+    assert rebuilt.shape == fs.shape
+    for k, (f, fdot) in enumerate(zip(fs, fdots)):
+        one = svd_rates(svd32(f), fdot)
+        fields = one.sigma_dot + one.omega + (one.alpha,)
+        # One decomposition's rates are Python floats, as its sigma are.
+        assert all(type(x) is float for x in fields)
+        stacked = rates.sigma_dot + rates.omega + (rates.alpha,)
+        assert tuple(x[k] for x in stacked) == fields
+        assert np.array_equal(rebuilt[k], one.reconstruct(svd32(f)))
+    # One tied member makes the whole stack degenerate.
+    tied = svd32(np.concatenate([fs[:3], np.eye(3)[None, :, :2]]))
+    with pytest.raises(DegenerateRates) as exc:
+        svd_rates(tied, fdots[:4])
+    assert exc.value.which == "omega_z_alpha"
+    # fdot must hold one 3x2 per decomposition: neither one 3x2 for a
+    # stack nor a stack for one decomposition.
+    for svd, fdot in ((s, fdots[0]), (s, fdots[:5]), (svd32(fs[0]), fdots[:2])):
+        with pytest.raises(ValueError, match="one 3x2 per decomposition") as exc:
+            svd_rates(svd, fdot)
+        assert not isinstance(exc.value, DegenerateRates)
+    with pytest.raises(ValueError, match="non-finite"):
+        svd_rates(s, np.where(np.arange(6).reshape(3, 2) == 4, np.nan, fdots))
 
 
 def test_lifted_perturbation_identity_frame():
