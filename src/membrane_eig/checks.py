@@ -21,15 +21,15 @@ count.  A sampled check is one call on its whole ensemble,
 ``check(rng, *sample(rng, n))``: ``check(rng, f, s)`` for the F-sampled
 checks, ``check(rng, a)`` for the Jacobi oracle's (n, 6, 6) symmetric
 matrices.  It draws its own perturbations after the ensemble, each kind in
-one call for all n trials in trial order, loops the oracles that take one
-F or one matrix per call, and returns a list of (n,) or (n, k) error
-arrays, row t holding trial t's errors.  A check without a sampler is
-called n times as ``check(rng)``, each call returning one error or a list.
-The report keeps the largest error, a NaN counting as the largest and the
-first trial winning ties, and fails when it exceeds ``tol``; it carries
-that trial's sample as its counterexample where there is one.  Kernels are
-looked up through their modules at call time, so a patched kernel is the
-one checked.
+one call for all n trials in trial order, calls each FD oracle once on the
+whole ensemble, loops only the Jacobi oracle, and returns a list of (n,)
+or (n, k) error arrays, row t holding trial t's errors.  A check without
+a sampler is called n times as ``check(rng)``, each call returning one
+error or a list.  The report keeps the largest error, a NaN counting as
+the largest and the first trial winning ties, and fails when it exceeds
+``tol``; it carries that trial's sample as its counterexample where there
+is one.  Kernels are looked up through their modules at call time, so a
+patched kernel is the one checked.
 
 ``run_bench`` times the sheet's closed-form spectrum against the FD +
 Jacobi oracle route on the checks' sheet and admissible sampler.
@@ -185,7 +185,6 @@ def _jacobi(stack):
     call: its (n, m) eigenvalues and (n, m, m) eigenvectors.  Both are NaN
     for a matrix the oracle rejects as asymmetric, so that trial fails with
     its witness instead of raising out of run_checks."""
-    stack = np.asarray(stack)
     values, vectors = np.full(stack.shape[:-1], np.nan), np.full(stack.shape, np.nan)
     for k, a in enumerate(stack):
         try:
@@ -272,11 +271,11 @@ def _invariant_fn(which):
 
 @_check(1e-6, random_f_nondegenerate)
 def _check_invariant_gradients_fd(rng, f, s):
-    errors = []
-    for which, g in zip(("I1", "I2", "I3"), inv_mod.invariant_gradients(s, f)):
-        fd = [orc_mod.fd_gradient(_invariant_fn(which), fk, h=1e-5) for fk in f]
-        errors.append(_max_abs(np.array(fd) - g))
-    return errors
+    grads = inv_mod.invariant_gradients(s, f)
+    return [
+        _max_abs(orc_mod.fd_gradient(_invariant_fn(which), f, h=1e-5) - g)
+        for which, g in zip(("I1", "I2", "I3"), grads)
+    ]
 
 
 @_check(1e-5, random_f_nondegenerate)
@@ -385,8 +384,7 @@ def _check_eigen_spectrum_oracle(rng, f, s):
     errors = []
     for which in ("I1", "I2", "I3"):
         analytic = np.sort(inv_mod.invariant_eigensystem(which, s).values)
-        dense = [orc_mod.fd_hessian6(_invariant_fn(which), fk, h=1e-4) for fk in f]
-        oracle, _ = _jacobi(dense)
+        oracle, _ = _jacobi(orc_mod.fd_hessian6(_invariant_fn(which), f, h=1e-4))
         # FD perturbs every eigenvalue by up to the matrix-norm error
         # (Weyl), so normalize by the spectral scale.
         scale = np.maximum(1.0, np.max(np.abs(oracle), axis=1))
@@ -461,7 +459,7 @@ def _check_sheet_gradient_orthogonality(rng, f, s):
 @_check(1e-4, random_f_admissible, share=20)
 def _check_sheet_spectrum_oracle(rng, f, s):
     analytic = np.sort(mod_mod.sheet_eigensystem(_MU, s).values)
-    oracle, _ = _jacobi([orc_mod.fd_hessian6(_sheet_psi, fk, h=1e-4) for fk in f])
+    oracle, _ = _jacobi(orc_mod.fd_hessian6(_sheet_psi, f, h=1e-4))
     # Weyl-normalized: small I3 blows the spectrum up to ~mu/I3^4 and
     # FD error rides the matrix norm, not individual eigenvalues.
     scale = np.maximum(1.0, np.max(np.abs(oracle), axis=1))
@@ -638,8 +636,8 @@ def _check_fd_convergence(rng, trials):
     steps = (1e-3, 5e-4, 2.5e-4)
     f, s = random_f_admissible(rng, n, min_i3=0.3)
     g = mod_mod.energy_gradient(_SHEET, s, f)
-    fds = [[orc_mod.fd_gradient(_sheet_psi, fk, h=h) for h in steps] for fk in f]
-    worst = np.max(np.abs(np.array(fds) - g[:, None]), axis=(0, 2, 3))
+    fds = np.array([orc_mod.fd_gradient(_sheet_psi, f, h=h) for h in steps])
+    worst = np.max(np.abs(fds - g), axis=(1, 2, 3))
     ratio = np.divide(
         worst[:-1], worst[1:], out=np.zeros(len(steps) - 1), where=worst[1:] > 0.0
     )

@@ -46,6 +46,7 @@ a median 0.12 s, against 0.42 s when it loaded scipy (Python 3.11.7, numpy
 2.4.6, scipy 1.17.1, 2-core x86-64 Linux).
 """
 
+import math
 from dataclasses import dataclass, field
 from numbers import Integral
 from typing import NamedTuple
@@ -235,16 +236,22 @@ def _require_int(name, value, least):
 
 @dataclass(frozen=True)
 class NewtonConfig:
-    """Projected-Newton parameters: stop when max|g| <= ``tol`` (>= 0), or
-    after ``max_iters`` (an integer >= 0, not a bool) Newton steps."""
+    """Projected-Newton parameters: stop when max|g| <= ``tol`` (finite and
+    >= 0), or after ``max_iters`` (an integer >= 0, not a bool) Newton
+    steps."""
 
     tol: float = 1e-8
     max_iters: int = 100
 
     def __post_init__(self):
-        # No gradient meets a NaN tol; tol = 0 ends at the roundoff floor.
-        if not self.tol >= 0.0:
-            raise ValueError(f"tol must be >= 0, got {self.tol}")
+        # No gradient meets a NaN tol, every one meets an infinite tol, and
+        # tol = 0 ends at the roundoff floor.
+        try:
+            ok = math.isfinite(self.tol) and self.tol >= 0.0
+        except OverflowError:  # an int that no float holds
+            ok = False
+        if not ok:
+            raise ValueError(f"tol must be finite and >= 0, got {self.tol}")
         _require_int("max_iters", self.max_iters, 0)
 
 

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .svd import SIGMA_EPS
+from .svd import SIGMA_EPS, _first_member
 
 __all__ = [
     "EigenSystem6",
@@ -63,13 +63,19 @@ _C_MODES = np.stack([_C_TWIST, _C_FLIP, _C_N1, _C_N2])
 
 
 class DegenerateHessian(ValueError):
-    """An invariant Hessian formula divides by a vanishing sigma combination."""
+    """An invariant Hessian formula divides by a vanishing sigma combination.
 
-    def __init__(self, invariant, sigma):
+    ``element`` is the flat index of the first degenerate member of a stack
+    of decompositions, else None, and ``sigma`` is that member's (s1, s2).
+    """
+
+    def __init__(self, invariant, sigma, element=None):
         self.invariant = invariant
         self.sigma = tuple(sigma)
+        self.element = element
+        where = "" if element is None else f"element {element}: "
         super().__init__(
-            f"Hessian of {invariant} is degenerate at sigma = {self.sigma}"
+            f"{where}Hessian of {invariant} is degenerate at sigma = {self.sigma}"
         )
 
 
@@ -204,9 +210,10 @@ def _hvp_i3(svd, w):
 
 def _require(svd, invariant):
     s1, s2 = svd.sigma
+    bad = (s1 <= SIGMA_EPS) | (s2 <= SIGMA_EPS) | (s1 + s2 <= SIGMA_EPS)
     # count_nonzero reads a Python bool and a boolean array alike.
-    if np.count_nonzero((s1 <= SIGMA_EPS) | (s2 <= SIGMA_EPS) | (s1 + s2 <= SIGMA_EPS)):
-        raise DegenerateHessian(invariant, svd.sigma)
+    if np.count_nonzero(bad):
+        raise DegenerateHessian(invariant, *_first_member(bad, svd.sigma))
 
 
 def invariant_hvp(svd, fdot):

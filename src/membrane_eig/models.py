@@ -59,6 +59,7 @@ from .invariants import (
     invariant_hvp,
     invariants,
 )
+from .svd import _first_member
 
 __all__ = [
     "NeoHookeanSheet",
@@ -102,13 +103,11 @@ def _check_floor(i3):
     bad = i3 < I3_FLOOR
     if not np.count_nonzero(bad):
         return
-    if np.ndim(bad):
-        k = int(np.flatnonzero(bad)[0])
-        raise DomainError(
-            f"element {k}: I3 = {np.ravel(i3)[k]} below the sheet floor {I3_FLOOR}",
-            element=k,
-        )
-    raise DomainError(f"I3 = {i3} below the sheet floor {I3_FLOOR}")
+    (value,), k = _first_member(bad, (i3,))
+    where = "" if k is None else f"element {k}: "
+    raise DomainError(
+        f"{where}I3 = {value} below the sheet floor {I3_FLOOR}", element=k
+    )
 
 
 @dataclass(frozen=True)

@@ -2,11 +2,13 @@
 eigensolver.  Everything here is deliberately decoupled from the closed
 forms it is used to check.
 
-The finite-difference oracles take a function ``fn`` that maps an
-(n, 3, 2) stack of deformation gradients to its n scalar values, and call
-it once per oracle call on the whole perturbation stack.  Their results
-equal, bitwise, what a loop calling ``fn`` on one F at a time would give,
-as long as ``fn`` treats each member of a stack as it would treat it alone.
+The finite-difference oracles take one 3x2 F or a stack (B..., 3, 2) of
+them, under the kernels' shape rule: the result gains the stack's leading
+axes.  They take a function ``fn`` that maps an (n, 3, 2) stack of
+deformation gradients to its n scalar values, and call it once per oracle
+call, on the perturbation stacks of every F at once.  Their results equal,
+bitwise, what a loop calling ``fn`` on one F at a time would give, as long
+as ``fn`` treats each member of a stack as it would treat it alone.
 
 The eigensolver rotates nested lists of Python floats one scalar at a
 time.  Its values and vectors equal, bitwise, those of the same cyclic
@@ -37,61 +39,68 @@ class Spectrum6:
 
 
 def _validated(f, h):
+    """f's row-major flattening (B..., 6) and h as a float."""
     f = np.asarray(f, dtype=float)
-    if f.shape != (3, 2):
-        raise ValueError(f"f must be 3x2, got shape {f.shape}")
+    if f.shape[-2:] != (3, 2):
+        raise ValueError(f"f must be 3x2 or a stack of 3x2, got shape {f.shape}")
     h = float(h)
     if not (np.isfinite(h) and h > 0.0):
         raise ValueError(f"h must be finite and > 0, got {h}")
-    return f, h
+    return f.reshape(f.shape[:-2] + (6,)), h
 
 
 def _values(fn, x):
-    """fn's n values on the (n, 6) stack x of row-major flattened Fs."""
-    n = len(x)
+    """fn's values (B..., m) on the stack x (B..., m, 6) of flattened Fs."""
+    n = x.size // 6
     values = np.asarray(fn(x.reshape(n, 3, 2)), dtype=float)
     if values.shape != (n,):
         raise ValueError(
             f"fn must map an ({n}, 3, 2) stack to {n} values, "
             f"got shape {values.shape}"
         )
-    return values
+    return values.reshape(x.shape[:-1])
 
 
 def _axis_steps(flat, h):
-    """(12, 6): the flattened F plus h e_k for k = 0..5, then minus h e_k."""
+    """(B..., 12, 6): each flattened F plus h e_k for k = 0..5, then minus
+    h e_k.  Tiling and stepping in place keeps each entry exactly f +- h
+    (adding a 0.0 offset would turn a -0.0 entry into 0.0)."""
     k = np.arange(6)
-    x = np.tile(flat, (2, 6, 1))
-    x[0, k, k] += h
-    x[1, k, k] -= h
-    return x.reshape(12, 6)
+    x = np.tile(flat[..., None, None, :], (2, 6, 1))
+    x[..., 0, k, k] += h
+    x[..., 1, k, k] -= h
+    return x.reshape(flat.shape[:-1] + (12, 6))
 
 
 def fd_gradient(fn, f, h=1e-5):
     """Central-difference gradient of a scalar function of a 3x2 matrix.
 
     ``fn`` maps an (n, 3, 2) stack to its n values.  It is called once, on
-    the 12 Fs f +- h e_k; each gradient entry is (fn(f + h e_k) -
-    fn(f - h e_k)) / (2 h), exactly as a loop over single Fs would form it.
+    the 12 Fs f +- h e_k of each F of ``f`` (one 3x2, or a (B..., 3, 2)
+    stack giving a (B..., 3, 2) result); each gradient entry is
+    (fn(f + h e_k) - fn(f - h e_k)) / (2 h), exactly as a loop over single
+    Fs would form it.
 
     Raises
     ------
     ValueError
-        If f is not 3x2, h is not finite and > 0, or fn does not return
-        exactly 12 values.
+        If f is not 3x2 or a stack of 3x2, h is not finite and > 0, or fn
+        does not return exactly one value per perturbed F.
     """
-    f, h = _validated(f, h)
-    plus, minus = _values(fn, _axis_steps(f.reshape(6), h)).reshape(2, 6)
-    return ((plus - minus) / (2.0 * h)).reshape(3, 2)
+    flat, h = _validated(f, h)
+    plus, minus = np.split(_values(fn, _axis_steps(flat, h)), 2, axis=-1)
+    return ((plus - minus) / (2.0 * h)).reshape(flat.shape[:-1] + (3, 2))
 
 
 def fd_hessian6(fn, f, h=1e-4):
     """Central second-difference 6x6 Hessian over row-major flattening.
 
     ``fn`` maps an (n, 3, 2) stack to its n values.  It is called once, on
-    73 Fs: f itself, f +- h e_i for the diagonal, and the four corners
-    f +- h e_i +- h e_j of each pair i < j.  The differences are formed with
-    the same operands in the same order as a loop over single Fs.
+    73 Fs per F of ``f`` (one 3x2, or a (B..., 3, 2) stack giving a
+    (B..., 6, 6) result): f itself, f +- h e_i for the diagonal, and the
+    four corners f +- h e_i +- h e_j of each pair i < j.  The differences
+    are formed with the same operands in the same order as a loop over
+    single Fs.
 
     The default step is larger than fd_gradient's because second differences
     divide by h^2; at h = 1e-5 roundoff alone would exceed most of the
@@ -100,28 +109,28 @@ def fd_hessian6(fn, f, h=1e-4):
     Raises
     ------
     ValueError
-        If f is not 3x2, h is not finite and > 0, or fn does not return
-        exactly 73 values.
+        If f is not 3x2 or a stack of 3x2, h is not finite and > 0, or fn
+        does not return exactly one value per perturbed F.
     """
-    f, h = _validated(f, h)
-    flat = f.reshape(6)
+    flat, h = _validated(f, h)
+    batch = flat.shape[:-1]
     i, j = np.triu_indices(6, k=1)
     pair = np.arange(len(i))
-    corner = np.tile(flat, (4, len(i), 1))  # [pp/pm/mp/mm, pair, entry]
+    # [..., pp/pm/mp/mm, pair, entry]
+    corner = np.tile(flat[..., None, None, :], (4, len(i), 1))
     for c, (si, sj) in enumerate(((h, h), (h, -h), (-h, h), (-h, -h))):
-        corner[c, pair, i] += si
-        corner[c, pair, j] += sj
-    x = np.concatenate([flat[None], _axis_steps(flat, h), corner.reshape(-1, 6)])
-    values = _values(fn, x)
-    f0 = values[0]
-    plus, minus = values[1:13].reshape(2, 6)
-    pp, pm, mp, mm = values[13:].reshape(4, len(i))
-    out = np.zeros((6, 6))
+        corner[..., c, pair, i] += si
+        corner[..., c, pair, j] += sj
+    x = [flat[..., None, :], _axis_steps(flat, h), corner.reshape(batch + (-1, 6))]
+    values = _values(fn, np.concatenate(x, axis=-2))
+    # f, the 6 + 6 axis steps, then 15 pairs at each of the 4 corners.
+    f0, plus, minus, pp, pm, mp, mm = np.split(values, [1, 7, 13, 28, 43, 58], axis=-1)
+    out = np.zeros(batch + (6, 6))
     k = np.arange(6)
-    out[k, k] = (plus - 2.0 * f0 + minus) / (h * h)
-    out[i, j] = (pp - pm - mp + mm) / (4.0 * h * h)
-    out[j, i] = out[i, j]
-    return 0.5 * (out + out.T)
+    out[..., k, k] = (plus - 2.0 * f0 + minus) / (h * h)
+    out[..., i, j] = (pp - pm - mp + mm) / (4.0 * h * h)
+    out[..., j, i] = out[..., i, j]
+    return 0.5 * (out + np.swapaxes(out, -1, -2))
 
 
 def jacobi_eigen_sym(a):

@@ -67,14 +67,28 @@ class DegenerateRates(ValueError):
 
     ``which`` names the failing component: "omega_y" (sigma1 ~ 0), "omega_x"
     (sigma2 ~ 0), or "omega_z_alpha" (sigma1 ~ sigma2 or sigma1 + sigma2 ~ 0).
+    ``element`` is the flat index of the first degenerate member of a stack
+    of decompositions, else None, and ``sigma`` is that member's (s1, s2).
     """
 
-    def __init__(self, which, sigma):
+    def __init__(self, which, sigma, element=None):
         self.which = which
         self.sigma = tuple(sigma)
+        self.element = element
+        where = "" if element is None else f"element {element}: "
         super().__init__(
-            f"SVD rate component {which} is degenerate at sigma = {self.sigma}"
+            f"{where}SVD rate component {which} is degenerate at sigma = {self.sigma}"
         )
+
+
+def _first_member(bad, values):
+    """Where the mask ``bad`` first holds: ``values`` (arrays shaped like
+    ``bad``) at that member as floats, and its flat index; for a ``bad``
+    that is one bool, ``values`` as given and None."""
+    if not np.ndim(bad):
+        return tuple(values), None
+    k = int(np.flatnonzero(bad)[0])
+    return tuple(float(np.ravel(x)[k]) for x in values), k
 
 
 @dataclass(frozen=True, eq=False)
@@ -301,13 +315,14 @@ def svd_rates(svd, fdot):
     if np.count_nonzero(np.isfinite(fdot)) != fdot.size:
         raise ValueError("fdot has non-finite entries")
     s1, s2 = svd.sigma
-    # count_nonzero reads a Python bool and a boolean array alike.
-    if np.count_nonzero(s1 <= SIGMA_EPS):
-        raise DegenerateRates("omega_y", svd.sigma)
-    if np.count_nonzero(s2 <= SIGMA_EPS):
-        raise DegenerateRates("omega_x", svd.sigma)
-    if np.count_nonzero((s1 - s2 <= SIGMA_EPS) | (s1 + s2 <= SIGMA_EPS)):
-        raise DegenerateRates("omega_z_alpha", svd.sigma)
+    for which, bad in (
+        ("omega_y", s1 <= SIGMA_EPS),
+        ("omega_x", s2 <= SIGMA_EPS),
+        ("omega_z_alpha", (s1 - s2 <= SIGMA_EPS) | (s1 + s2 <= SIGMA_EPS)),
+    ):
+        # count_nonzero reads a Python bool and a boolean array alike.
+        if np.count_nonzero(bad):
+            raise DegenerateRates(which, *_first_member(bad, svd.sigma))
 
     w = svd.rotate(fdot)
     wy = -w[..., 2, 0] / s1

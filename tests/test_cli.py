@@ -218,6 +218,7 @@ MALFORMED_SCENES = {
     "nan_mu": (lambda spec: spec["model"].update(mu=float("nan")), "mu"),
     "nan_tol": (lambda spec: spec.update(tol=float("nan")), "tol"),
     "negative_tol": (lambda spec: spec.update(tol=-1e-8), "tol"),
+    "infinite_tol": (lambda spec: spec.update(tol=float("inf")), "tol"),
     # Each field must have its JSON type; a value of another type is
     # rejected, neither coerced nor left to fail later.
     "null_mesh": (lambda spec: spec.update(mesh=None), "'mesh'"),

@@ -96,11 +96,13 @@ def test_make_problem_validation():
         me.make_problem(UNIT_TRIANGLE, TRI, me.NeoHookeanSheet(1.0), pins={0: [10**400, 0, 0]})
     with pytest.raises(ValueError, match="pinned vertex index out of range"):
         me.make_problem(UNIT_TRIANGLE, TRI, me.NeoHookeanSheet(1.0), pins={10**400: [0, 0, 0]})
-    # No gradient meets a NaN or negative tolerance; 0 is the roundoff floor.
-    for tol in (np.nan, -1e-8):
-        with pytest.raises(ValueError, match="tol"):
+    # No gradient meets a NaN or negative tolerance, and every gradient
+    # meets an infinite one; 0 is the roundoff floor.
+    for tol in (np.nan, -1e-8, np.inf, 10**400, -(10**400)):
+        with pytest.raises(ValueError, match="tol must be finite and >= 0"):
             me.NewtonConfig(tol=tol)
     assert me.NewtonConfig(tol=0.0).tol == 0.0
+    assert me.NewtonConfig(tol=0).tol == 0
     outside = r"triangle 1 has a vertex index outside \[0, 3\)"
     for bad in ([0, 1, -1], [0, 3, 2], [2**40, 0, 1], [0, 1, 10**400], [0, 1, 2**63]):
         with pytest.raises(ValueError, match=outside):

@@ -11,6 +11,7 @@ from membrane_eig import (
     DegenerateHessian,
     ModelDerivs,
     NeoHookeanSheet,
+    energy_eigensystem,
     energy_hvp,
     fd_gradient,
     invariant_eigensystem,
@@ -236,3 +237,26 @@ def test_hvp_of_a_stack_at_a_degenerate_decomposition_raises():
     with pytest.raises(DegenerateHessian) as exc:
         invariant_hvp(s, np.ones((3, 3, 2)))
     assert exc.value.invariant == "I1"
+    # One decomposition names no member, and its message is unchanged.
+    assert exc.value.element is None
+    assert str(exc.value) == "Hessian of I1 is degenerate at sigma = (1.0, 0.0)"
+    # A stack names its first degenerate member by flat index, with that
+    # member's singular values, through every kernel that needs them.
+    fs, _ = random_f_admissible(np.random.default_rng(29), 6)
+    fs[4:] = [[1.0, 0.0], [0.0, 1e-12], [0.0, 0.0]]  # 4 is named, not 5
+    kernels = {
+        "I1": lambda s: invariant_hvp(s, np.ones(s.u.shape[:-2] + (3, 2))),
+        "I3": lambda s: invariant_eigensystem("I3", s),
+        "energy": lambda s: energy_eigensystem(NeoHookeanSheet(1.0), s),
+    }
+    for stack, k in ((fs[2:5], 2), (fs.reshape(2, 3, 3, 2), 4)):
+        for name, kernel in kernels.items():
+            with pytest.raises(DegenerateHessian) as exc:
+                kernel(svd32(stack))
+            assert (exc.value.invariant, exc.value.element) == (name, k)
+            assert exc.value.sigma == (1.0, 1e-12)
+            assert all(type(x) is float for x in exc.value.sigma)
+            assert str(exc.value) == (
+                f"element {k}: Hessian of {name} is degenerate at "
+                "sigma = (1.0, 1e-12)"
+            )

@@ -103,36 +103,65 @@ def _loop_fd_hessian6(fn, f, h):
 
 
 class _Counting:
+    # Counts its calls and keeps every F it is given.
     def __init__(self, fn):
         self.fn = fn
         self.calls = 0
+        self.fs = []
 
     def __call__(self, x):
         self.calls += 1
+        self.fs.extend(np.asarray(x, dtype=float).reshape(-1, 3, 2))
         return self.fn(x)
 
 
 @pytest.mark.parametrize("name", ["sheet", "I1", "I2", "I3"])
 def test_batched_oracles_equal_per_f_loops_bitwise(name):
+    # A lone F, an (n,) stack and a (2, 3) stack: one fn call each, and
+    # every member bitwise equal to the per-F loop on it alone.
     fn = _sheet_psi if name == "sheet" else _invariant_fn(name)
     rng = np.random.default_rng(2024)
-    fs, _ = random_f_admissible(rng, 4)
-    for f in fs:
-        for h in (1e-3, 1e-4, 1e-5):
-            for oracle, loop in (
-                (fd_gradient, _loop_fd_gradient),
-                (fd_hessian6, _loop_fd_hessian6),
-            ):
+    fs, _ = random_f_admissible(rng, 6)
+    for h in (1e-3, 1e-4, 1e-5):
+        for oracle, loop in (
+            (fd_gradient, _loop_fd_gradient),
+            (fd_hessian6, _loop_fd_hessian6),
+        ):
+            expected = np.array([loop(fn, f, h) for f in fs])
+            grid = expected.reshape((2, 3) + expected.shape[1:])
+            cases = list(zip(fs, expected))
+            cases += [(fs, expected), (fs.reshape(2, 3, 3, 2), grid)]
+            for f, want in cases:
                 counted = _Counting(fn)
                 fast = oracle(counted, f, h=h)
                 assert counted.calls == 1
-                assert np.array_equal(fast, loop(fn, f, h))
+                assert fast.shape == want.shape
+                assert np.array_equal(fast, want)
+
+
+@pytest.mark.parametrize(
+    "oracle, loop",
+    [(fd_gradient, _loop_fd_gradient), (fd_hessian6, _loop_fd_hessian6)],
+)
+def test_oracles_perturb_exactly_the_loops_fs(oracle, loop):
+    # The oracle hands fn the same Fs as the per-F loop, bit for bit: an
+    # entry that is not stepped keeps its sign, -0.0 included.
+    f = np.array([[-0.0, 1.0], [0.0, -0.0], [2.0, -0.0]])
+    for stack in (f, np.stack([f, -f])):
+        seen, looped = _Counting(quartic), _Counting(quartic)
+        oracle(seen, stack, h=1e-4)
+        for member in stack.reshape(-1, 3, 2):
+            loop(looped, member, 1e-4)
+        assert sorted(x.tobytes() for x in seen.fs) == sorted(
+            x.tobytes() for x in looped.fs
+        )
 
 
 @pytest.mark.parametrize("oracle", [fd_gradient, fd_hessian6])
 def test_oracles_reject_a_non_3x2_f(oracle):
-    with pytest.raises(ValueError, match="3x2"):
-        oracle(quartic, np.zeros((2, 3)))
+    for shape in ((2, 3), (4, 2, 3), (6,), ()):
+        with pytest.raises(ValueError, match="3x2 or a stack of 3x2"):
+            oracle(quartic, np.zeros(shape))
 
 
 @pytest.mark.parametrize("oracle", [fd_gradient, fd_hessian6])
@@ -152,8 +181,9 @@ def test_oracles_reject_a_bad_step(oracle, h):
     ],
 )
 def test_oracles_reject_an_fn_that_is_not_batched(oracle, fn):
-    with pytest.raises(ValueError, match="stack"):
-        oracle(fn, F0)
+    for f in (F0, np.stack([F0, 2.0 * F0])):
+        with pytest.raises(ValueError, match="stack"):
+            oracle(fn, f)
 
 
 def test_jacobi_diagonal_sorted_ascending():

@@ -179,11 +179,36 @@ def test_rates_of_a_stack_equal_its_members_bitwise():
         stacked = rates.sigma_dot + rates.omega + (rates.alpha,)
         assert tuple(x[k] for x in stacked) == fields
         assert np.array_equal(rebuilt[k], one.reconstruct(svd32(f)))
-    # One tied member makes the whole stack degenerate.
+    # One tied member makes the whole stack degenerate, and the error names
+    # it by its flat index, with its own singular values.
     tied = svd32(np.concatenate([fs[:3], np.eye(3)[None, :, :2]]))
     with pytest.raises(DegenerateRates) as exc:
         svd_rates(tied, fdots[:4])
     assert exc.value.which == "omega_z_alpha"
+    assert exc.value.element == 3
+    assert exc.value.sigma == (1.0, 1.0)
+    assert str(exc.value) == (
+        "element 3: SVD rate component omega_z_alpha is degenerate at "
+        "sigma = (1.0, 1.0)"
+    )
+    thin = np.array([[1.0, 0.0], [0.0, 1e-12], [0.0, 0.0]])
+    for batch, k in (((3,), 2), ((2, 3), 4)):
+        n = int(np.prod(batch))
+        stack = fs[:n].copy()
+        stack[k:] = thin  # (2, 3): members 4 and 5, and 4 is named
+        shape = batch + (3, 2)
+        with pytest.raises(DegenerateRates) as exc:
+            svd_rates(svd32(stack.reshape(shape)), fdots[:n].reshape(shape))
+        assert (exc.value.which, exc.value.element) == ("omega_x", k)
+        assert exc.value.sigma == (1.0, 1e-12)
+        assert all(type(x) is float for x in exc.value.sigma)
+    # One decomposition's error names no member, and reads as it always has.
+    with pytest.raises(DegenerateRates) as exc:
+        svd_rates(svd32(thin), fdots[0])
+    assert exc.value.element is None
+    assert str(exc.value) == (
+        "SVD rate component omega_x is degenerate at sigma = (1.0, 1e-12)"
+    )
     # fdot must hold one 3x2 per decomposition: neither one 3x2 for a
     # stack nor a stack for one decomposition.
     for svd, fdot in ((s, fdots[0]), (s, fdots[:5]), (svd32(fs[0]), fdots[:2])):
