@@ -8,14 +8,15 @@ the deformed 3x2 gradient of a linear element is
 
 Total energy is sum_e area_e * psi(F_e) minus an optional constant
 per-vertex force term.  The Newton solver uses analytically projected
-element Hessians (eigenvalues clamped at zero before the 9x9 pullback), a
-sparse LU factorization of H + tau I (clamping leaves H singular, as at
-flat rest; tau is 1e-8 / 6 of the largest eigenvalue of the model's
-rest-state Hessian, so 1e-8 mu for the sheet), and Armijo backtracking
-that treats model DomainErrors from trial states as step rejections.  A
-step that no halving can make decrease the energy ends the solve as
-converged when the Newton decrement is at the roundoff floor of the
-energy.
+element Hessians (eigenvalues clamped at zero before the 9x9 pullback), one
+symmetric-mode sparse LU factorization of H + tau I per step, with
+minimum-degree ordering on A + A^T and diagonal pivots (clamping leaves H
+singular, as at flat rest; tau is 1e-8 / 6 of the largest eigenvalue of
+the model's rest-state Hessian, so 1e-8 mu for the sheet), and Armijo
+backtracking that treats model DomainErrors from trial states as step
+rejections.  A step that no halving can make decrease the energy ends the
+solve as converged when the Newton decrement is at the roundoff floor of
+the energy.
 
 Pinned vertices are held at their targets by replacing their rows and
 columns of the system with identity and zeroing their gradient entries.
@@ -32,10 +33,13 @@ pinned vertex's rows hold only their diagonal entry.  ``total_energy`` and
 ``assemble`` then run every kernel once over all elements: F (E, 3, 2),
 the invariants (I2 = |F|^2, I3 = |f1 x f2|, I1 = sqrt(I2 + 2 I3), so no
 SVD is needed for the energy), one ``model.derivs`` call on (E,) arrays,
-and in ``assemble`` one stacked ``svd32``, one stacked eigensystem and its
-projection.  Element Hessians are formed as G^T diag(area lambda) G with
-G = Q J, where the rows of Q (6x6) are the flattened eigenmatrices and J
-is the pullback, and are summed into the CSR pattern with ``np.bincount``.
+and in ``assemble`` one stacked ``svd32`` and one stacked eigensystem,
+left in the SVD's rotated frame.  Element Hessians are formed as
+G^T diag(area lambda) G with G = Q J, where the rows of Q (6x6) are the
+flattened eigenmatrices and J is the pullback.  Since Q_i = U C_i V^T for a
+fixed coefficient pattern C_i, G is taken from the rotated frame as
+C (R^T J), with no eigenmatrix lifted.  The element Hessians are summed
+into the CSR pattern with ``np.bincount``.
 
 Loading.  This module, like the package, imports numpy only: scipy.sparse
 and scipy.sparse.linalg load at the first ``assemble`` or
@@ -53,14 +57,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .invariants import Invariants
-from .models import (
-    DomainError,
-    _assemble_eigensystem,
-    _stress,
-    energy_eigensystem,
-    project_psd,
-)
+from .invariants import Invariants, _pack, _slot_coeffs
+from .models import DomainError, _rotated_eigensystem, _stress, energy_eigensystem
 from .svd import svd32
 
 __all__ = [
@@ -177,8 +175,9 @@ class MembraneProblem:
     The remaining fields are derived from those on construction, and again
     by ``dataclasses.replace``: ``pullback`` (E, 6, 9) maps an element's
     nine vertex coordinates to row-major vec(F), and the private fields
-    hold the pinned-dof mask, each element's dof indices and the Hessian's
-    CSR pattern.
+    hold the vertex weights B (E, 3, 2) that the pullback is built from,
+    the pinned-dof mask, each element's dof indices and the Hessian's CSR
+    pattern.
     """
 
     n_vertices: int
@@ -190,6 +189,7 @@ class MembraneProblem:
     pin_targets: np.ndarray
     gravity: np.ndarray
     pullback: np.ndarray = field(init=False)
+    _weights: np.ndarray = field(init=False, repr=False)
     _pinned: np.ndarray = field(init=False, repr=False)
     _dofs: np.ndarray = field(init=False, repr=False)
     _pattern: _HessianPattern = field(init=False, repr=False)
@@ -206,6 +206,7 @@ class MembraneProblem:
         for i in range(3):
             j[:, i, :, :, i] = b.transpose(0, 2, 1)
         put("pullback", j.reshape(-1, 6, 9))
+        put("_weights", b)
         pinned = np.zeros(self.n_vertices, dtype=bool)
         pinned[self.pin_vertices] = True
         put("_pinned", np.repeat(pinned, 3))
@@ -405,9 +406,9 @@ def deformation_gradients(problem, positions):
     """Deformation gradients of every element, (E, 3, 2)."""
     x = np.asarray(positions, dtype=float)
     t = problem.elements
-    x0 = x[t[:, 0]]
-    e1 = (x[t[:, 1]] - x0)[:, :, None]
-    e2 = (x[t[:, 2]] - x0)[:, :, None]
+    x0 = x.take(t[:, 0], axis=0)
+    e1 = (x.take(t[:, 1], axis=0) - x0)[:, :, None]
+    e2 = (x.take(t[:, 2], axis=0) - x0)[:, :, None]
     dm = problem.dm_inv
     return e1 * dm[:, None, 0, :] + e2 * dm[:, None, 1, :]
 
@@ -418,8 +419,12 @@ def _element_derivs(problem, positions):
     from here, so the line search compares bitwise-consistent values."""
     f = deformation_gradients(problem, positions)
     i2 = np.einsum("eij,eij->e", f, f)
-    n = np.cross(f[:, :, 0], f[:, :, 1])
-    i3 = np.sqrt(np.einsum("ek,ek->e", n, n))
+    # |f1 x f2| written out component by component, as svd32 does, and
+    # summed in the order np.einsum("ek,ek->e") takes for three terms (its
+    # two-lane loop), so I3 is bitwise what the einsum of np.cross gives.
+    (a0, b0), (a1, b1), (a2, b2) = f.transpose(1, 2, 0)
+    n0, n1, n2 = a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
+    i3 = np.sqrt((n0 * n0 + n2 * n2) + n1 * n1)
     return f, problem.model.derivs(Invariants(i1=np.sqrt(i2 + 2.0 * i3), i2=i2, i3=i3))
 
 
@@ -450,6 +455,28 @@ def total_energy(problem, positions):
     return _energy(problem, positions, d.psi)
 
 
+def _element_hessians(problem, d, svd, project):
+    """Element Hessians (E, 9, 9) over the nine vertex coordinates:
+    G^T diag(area lambda) G for the eigenvalues lambda of the derivatives
+    ``d`` at the decompositions ``svd``, clamped at zero when ``project`` is
+    true (``project_psd``'s clamp), and G = Q J.
+
+    Each eigenmatrix is Q_i = U C_i V^T for a fixed coefficient pattern C_i,
+    so the rows of G are C (R^T J), where R^T J is U[e, k, a] (B V)[e, v, b]
+    in row (a, b) and column (v, k): nothing is lifted.  R^T J is formed
+    component-major, (a, b, v, k, E), as svd32 works, so each product is one
+    pass over all elements."""
+    values, va, vb = _rotated_eigensystem(d, svd)
+    lam = _pack(values)
+    if project:
+        lam = np.maximum(lam, 0.0)
+    uc = np.ascontiguousarray(svd.u.transpose(2, 1, 0))
+    bvc = np.ascontiguousarray((problem._weights @ svd.v).transpose(2, 1, 0))
+    rtj = (uc[:, None, None] * bvc[None, :, :, None]).reshape(54, -1).T.reshape(-1, 6, 9)
+    g = _slot_coeffs(va, vb).reshape(-1, 6, 6) @ rtj
+    return np.swapaxes(g, 1, 2) @ ((problem.area[:, None] * lam)[:, :, None] * g)
+
+
 def assemble(problem, positions, project=True):
     """Energy, gradient, and sparse Hessian at given positions.
 
@@ -467,16 +494,9 @@ def assemble(problem, positions, project=True):
     f, d = _element_derivs(problem, positions)
     energy = _energy(problem, positions, d.psi)
     svd = svd32(f)
-    area = problem.area
-    jac = problem.pullback
     p = _stress(d, svd, f).reshape(-1, 1, 6)
-    ge = area[:, None] * (p @ jac)[:, 0, :]
-
-    eig = _assemble_eigensystem(d, svd)
-    if project:
-        eig = project_psd(eig)
-    g = eig.matrices.reshape(-1, 6, 6) @ jac
-    he = np.swapaxes(g, 1, 2) @ ((area[:, None] * eig.values)[:, :, None] * g)
+    ge = problem.area[:, None] * (p @ problem.pullback)[:, 0, :]
+    he = _element_hessians(problem, d, svd, project)
 
     grad = np.bincount(problem._dofs.ravel(), weights=ge.ravel(), minlength=3 * n)
     if problem.gravity.any():
@@ -512,13 +532,42 @@ def _tikhonov_shift(model):
     return (1e-8 / 6.0) * float(np.max(rest.values))
 
 
+def _shifted_csc(hess, tau):
+    """H + tau I as a CSC matrix, from the CSR arrays of a symmetric H whose
+    every nonempty row holds its diagonal entry, as an assembled Hessian's
+    does.  The CSR arrays of H are the CSC arrays of H^T = H, so nothing is
+    converted.  An empty row, a dof of a free vertex in no triangle, gets a
+    diagonal entry tau of its own, so the shift reaches every dof."""
+    n = hess.shape[0]
+    indptr, indices = hess.indptr, hess.indices
+    counts = np.diff(indptr)
+    rows = np.repeat(np.arange(n, dtype=indices.dtype), counts)
+    data = hess.data.copy()
+    data[np.flatnonzero(indices == rows)] += tau
+    empty = np.flatnonzero(counts == 0)
+    if empty.size:
+        at = indptr[empty]
+        data = np.insert(data, at, tau)
+        indices = np.insert(indices, at, empty)
+        indptr = indptr + np.searchsorted(empty, np.arange(n + 1)).astype(indptr.dtype)
+    return sp.csc_matrix((data, indices, indptr), shape=(n, n))
+
+
 def _newton_direction(hess, grad, tau):
-    """Solve (H + tau I) d = -g with one sparse LU factorization.  Raises
-    LinearSolveFailed if the factorization fails or d is not a finite
-    descent direction."""
+    """Solve (H + tau I) d = -g with one symmetric-mode sparse LU
+    factorization: minimum-degree ordering on A + A^T, applied to rows and
+    columns alike, and pivots taken on the diagonal, as suits a symmetric
+    positive definite A.  ``hess`` is an assembled Hessian (see
+    ``_shifted_csc``).  Raises LinearSolveFailed if the factorization fails
+    or d is not a finite descent direction."""
     _load_scipy()
     try:
-        lu = spla.splu((hess + tau * sp.identity(hess.shape[0], format="csr")).tocsc())
+        lu = spla.splu(
+            _shifted_csc(hess, tau),
+            permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True},
+        )
     except RuntimeError as err:
         raise LinearSolveFailed(f"sparse factorization failed: {err}") from err
     d = lu.solve(-grad)

@@ -255,12 +255,20 @@ def _mode_values(d, s1, s2):
     return lam_twist, lam_flip, lam_n1, lam_n2
 
 
+def _rotated_eigensystem(d, svd):
+    """The eigensystem in the decomposition's rotated frame, before any
+    lift: the six eigenvalues in slot order, and the coordinates va and vb
+    of the two diag-block modes on (E11, E22), as ``_slot_coeffs`` takes
+    them.  ``assemble`` builds element Hessians from these directly."""
+    s1, s2 = svd.sigma
+    (la, va), (lb, vb) = _symeig2(_reduced_block(d, s1, s2))
+    return (la, lb) + _mode_values(d, s1, s2), va, vb
+
+
 def _assemble_eigensystem(d, svd):
     """Six-pair eigensystem from model derivatives at a decomposition (or
     at a stack of them, with ``d``'s fields as arrays over the stack)."""
-    s1, s2 = svd.sigma
-    (la, va), (lb, vb) = _symeig2(_reduced_block(d, s1, s2))
-    values = (la, lb) + _mode_values(d, s1, s2)
+    values, va, vb = _rotated_eigensystem(d, svd)
     return _eigensystem6(svd, values, _slot_coeffs(va, vb))
 
 

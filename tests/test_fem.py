@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import membrane_eig as me
-from membrane_eig import fem
+from membrane_eig import checks, fem, models
 
 from conftest import build_stretch_scene
 
@@ -311,6 +311,27 @@ def test_vertex_in_no_triangle_has_empty_or_identity_rows(pinned):
     assert np.array_equal(x_end[-1], x[-1])
 
 
+@pytest.mark.parametrize("case", list(PATTERN_CASES) + ["loose_vertex_inside"])
+def test_shifted_system_is_shifted_on_every_dof(case):
+    # _shifted_csc reads H's CSR arrays as CSC arrays, that is as H^T, adds
+    # tau to each stored diagonal entry, and gives an empty row (a free
+    # vertex in no triangle, here also one numbered between others) an
+    # entry tau of its own.
+    if case == "loose_vertex_inside":
+        loose = with_loose_vertex(*taut_grid(4, 1.2), pinned=False)
+        rest, tris, pins = shuffled(*loose, seed=3)
+    else:
+        rest, tris, pins = PATTERN_CASES[case]()
+    problem = me.make_problem(rest, tris, me.NeoHookeanSheet(1.0), pins=pins)
+    x = problem.apply_pins(rest)
+    x = x + 0.01 * np.random.default_rng(1).standard_normal(x.shape)
+    _, _, hess = me.assemble(problem, problem.apply_pins(x))
+    shifted = fem._shifted_csc(hess, 1e-3)
+    assert shifted.format == "csc"
+    want = hess.T.toarray() + 1e-3 * np.eye(hess.shape[0])
+    assert np.array_equal(shifted.toarray(), want)
+
+
 def test_gravity_on_a_vertex_in_no_triangle_is_rejected():
     rest, tris, pins = with_loose_vertex(*taut_grid(4, 1.2), pinned=False)
     loose = len(rest) - 1
@@ -442,6 +463,56 @@ def test_assemble_matches_scalar_route(seed):
     assert me.total_energy(problem, x) == energy
 
 
+def test_element_i3_is_the_einsum_of_np_cross_bitwise():
+    # I3 is written out for speed; it must stay the bits that the einsum of
+    # np.cross gives.  A model that accepts any I3 records it.
+    seen = []
+
+    class Recorder:
+        def derivs(self, inv):
+            seen.append(inv)
+            return models.ModelDerivs(psi=0.0 * inv.i3)
+
+    rng = np.random.default_rng(11)
+    rest, tris = me.grid_mesh(12, 12)
+    problem = me.make_problem(rest, tris, Recorder())
+    x = rest + rng.standard_normal(rest.shape)  # a random stack of Fs
+    f, _ = fem._element_derivs(problem, x)
+    n = np.cross(f[:, :, 0], f[:, :, 1])
+    assert np.array_equal(seen[-1].i3, np.sqrt(np.einsum("ek,ek->e", n, n)))
+
+
+def _random_stack_problem():
+    # A 6x6 grid moved to random 3D positions: every element's F is a
+    # random 3x2 with some eigenvalues below zero to clamp.
+    rng = np.random.default_rng(7)
+    rest, tris = me.grid_mesh(6, 6)
+    rest = rest + 0.05 * rng.uniform(-1.0, 1.0, rest.shape) * [1.0, 1.0, 0.0]
+    x = rest * [1.3, 0.8, 1.0] + 0.05 * rng.uniform(-1.0, 1.0, rest.shape)
+    return me.make_problem(rest, tris, me.NeoHookeanSheet(1.3)), x
+
+
+@pytest.mark.parametrize("project", [True, False])
+@pytest.mark.parametrize("source", ["random_stack", "random_patch"])
+def test_rotated_frame_hessians_match_lifted_eigenmatrices(source, project):
+    # G = C (R^T J) against G = Q J, with Q the lifted eigenmatrices.
+    if source == "random_stack":
+        problem, x = _random_stack_problem()
+    else:
+        problem, x = checks._random_patch(np.random.default_rng(5))
+    f, d = fem._element_derivs(problem, x)
+    svd = me.svd32(f)
+    eig = models._assemble_eigensystem(d, svd)
+    if source == "random_stack":
+        assert np.any(eig.values < 0.0)
+    if project:
+        eig = me.project_psd(eig)
+    g = eig.matrices.reshape(-1, 6, 6) @ problem.pullback
+    want = np.swapaxes(g, 1, 2) @ ((problem.area[:, None] * eig.values)[:, :, None] * g)
+    got = fem._element_hessians(problem, d, svd, project)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
 def test_newton_rest_state_converges_immediately():
     problem = me.make_problem(UNIT_TRIANGLE, TRI, me.NeoHookeanSheet(1.0))
     x, report = me.newton_solve(problem, UNIT_TRIANGLE)
@@ -568,7 +639,7 @@ def test_linear_solve_failure_surfaces(monkeypatch):
 def test_newton_direction_says_why_it_failed(monkeypatch, d, why):
     calls = []
 
-    def fixed(matrix):
+    def fixed(matrix, **kwargs):
         calls.append(matrix)
         return types.SimpleNamespace(solve=lambda rhs: np.array(d))
 
@@ -615,6 +686,38 @@ def test_newton_factors_once_per_step_from_flat_rest(tmp_path, monkeypatch):
         iterations.append(report.iterations)
     # With tau = 1e-8 whatever mu, the soft drape took 12 iterations.
     assert iterations[3] <= 4
+
+
+def test_symmetric_factorization_pivots_on_the_diagonal(tmp_path, monkeypatch):
+    # On every iterate of a 6x6 drape the symmetric-mode factorization
+    # permutes rows and columns alike, so by Sylvester the signs of U's
+    # diagonal are the inertia of H + tau I (positive definite here); and
+    # its direction is the one scipy's default LU (COLAMD, partial
+    # pivoting) gives.
+    original_splu, original_direction = fem.spla.splu, fem._newton_direction
+    factors, systems = [], []
+
+    def recording_splu(*args, **kwargs):
+        factors.append(original_splu(*args, **kwargs))
+        return factors[-1]
+
+    def recording_direction(hess, grad, tau):
+        systems.append((hess, grad, tau, original_direction(hess, grad, tau)))
+        return systems[-1][-1]
+
+    monkeypatch.setattr(fem.spla, "splu", recording_splu)
+    monkeypatch.setattr(fem, "_newton_direction", recording_direction)
+    drape, y0, _, _ = me.load_scene(build_stretch_scene(tmp_path, 6, 6, stretch=1.4))
+    drape = dataclasses.replace(drape, gravity=np.array([0.0, 0.0, -0.01]))
+    _, report = me.newton_solve(drape, y0)
+    assert report.termination == "converged"
+    assert len(factors) == len(systems) == report.iterations > 0
+    for lu, (hess, grad, tau, d) in zip(factors, systems):
+        assert np.array_equal(lu.perm_r, lu.perm_c)
+        assert np.all(lu.U.diagonal() > 0.0)
+        shifted = hess + tau * fem.sp.identity(hess.shape[0], format="csr")
+        want = original_splu(shifted.tocsc()).solve(-grad)
+        assert np.max(np.abs(d - want)) <= 1e-10 * np.max(np.abs(want))
 
 
 def test_newton_iterates_are_scale_free():
