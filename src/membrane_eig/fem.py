@@ -8,7 +8,7 @@ the deformed 3x2 gradient of a linear element is
 
 Total energy is sum_e area_e * psi(F_e) minus an optional constant
 per-vertex force term.  The Newton solver uses analytically projected
-element Hessians (eigenvalues clamped at zero before the 9x9 pullback), one
+element Hessians (eigenvalues clamped at zero before the 9x9 assembly), one
 symmetric-mode sparse LU factorization of H + tau I per step, with
 minimum-degree ordering on A + A^T and diagonal pivots (clamping leaves H
 singular, as at flat rest; tau is 1e-8 / 6 of the largest eigenvalue of
@@ -23,23 +23,24 @@ columns of the system with identity and zeroing their gradient entries.
 
 Array layout.  A problem with E triangles keeps its rest data as arrays
 built once by ``make_problem``: ``elements`` (E, 3) vertex indices,
-``dm_inv`` (E, 2, 2), ``area`` (E,), the pullback (E, 6, 9) from an
-element's nine vertex coordinates (x0, x1, x2, each xyz) to row-major
-vec(F), the pinned-dof mask, and the Hessian's CSR sparsity pattern with
-the CSR slot of each of the E * 81 element entries.  Pins hold whole
-vertices, so that is the pattern of the E * 9 vertex pairs with each pair
-expanded to a 3x3 block, built by arithmetic on their ``np.unique``; a
-pinned vertex's rows hold only their diagonal entry.  ``total_energy`` and
+``dm_inv`` (E, 2, 2), ``area`` (E,), the vertex weights B (E, 3, 2) with
+F = sum_v x_v B[v]^T over an element's vertices (x0, x1, x2), the
+pinned-dof mask, and the Hessian's CSR sparsity pattern with the CSR slot
+of each of the E * 81 element entries.  Pins hold whole vertices, so that
+is the pattern of the E * 9 vertex pairs with each pair expanded to a 3x3
+block, built by arithmetic on their ``np.unique``; a pinned vertex's rows
+hold only their diagonal entry.  ``total_energy`` and
 ``assemble`` then run every kernel once over all elements: F (E, 3, 2),
 the invariants (I2 = |F|^2, I3 = |f1 x f2|, I1 = sqrt(I2 + 2 I3), so no
 SVD is needed for the energy), one ``model.derivs`` call on (E,) arrays,
 and in ``assemble`` one stacked ``svd32`` and one stacked eigensystem,
-left in the SVD's rotated frame.  Element Hessians are formed as
-G^T diag(area lambda) G with G = Q J, where the rows of Q (6x6) are the
-flattened eigenmatrices and J is the pullback.  Since Q_i = U C_i V^T for a
-fixed coefficient pattern C_i, G is taken from the rotated frame as
-C (R^T J), with no eigenmatrix lifted.  The element Hessians are summed
-into the CSR pattern with ``np.bincount``.
+left in the SVD's rotated frame.  Both element terms come from R^T J, the
+map from an element's nine vertex coordinates to vec(U^T F V): there
+d psi / dF is pad(p1, p2), the principal stresses, so the gradient is
+area (p1, p2) on rows (0, 0) and (1, 1) of R^T J, and each eigenmatrix is
+Q_i = U C_i V^T for a fixed pattern C_i, so the Hessian is
+G^T diag(area lambda) G with G = C (R^T J).  Nothing is lifted.  Both are
+summed into place with ``np.bincount``.
 
 Loading.  This module, like the package, imports numpy only: scipy.sparse
 and scipy.sparse.linalg load at the first ``assemble`` or
@@ -58,7 +59,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .invariants import Invariants, _pack, _slot_coeffs
-from .models import DomainError, _rotated_eigensystem, _stress, energy_eigensystem
+from .models import DomainError, _principal_stresses, _rotated_eigensystem
+from .models import energy_eigensystem
 from .svd import svd32
 
 __all__ = [
@@ -172,12 +174,10 @@ class MembraneProblem:
     Dirichlet constraints (the whole vertex is held).  ``gravity`` is a
     constant per-vertex force f adding energy -f . x_v for every vertex.
 
-    The remaining fields are derived from those on construction, and again
-    by ``dataclasses.replace``: ``pullback`` (E, 6, 9) maps an element's
-    nine vertex coordinates to row-major vec(F), and the private fields
-    hold the vertex weights B (E, 3, 2) that the pullback is built from,
-    the pinned-dof mask, each element's dof indices and the Hessian's CSR
-    pattern.
+    The private fields are derived from those on construction, and again
+    by ``dataclasses.replace``: the vertex weights B (E, 3, 2), whose row v
+    gives vertex v's weights in the two columns of F, the pinned-dof mask,
+    each element's dof indices and the Hessian's CSR pattern.
     """
 
     n_vertices: int
@@ -188,7 +188,6 @@ class MembraneProblem:
     pin_vertices: np.ndarray
     pin_targets: np.ndarray
     gravity: np.ndarray
-    pullback: np.ndarray = field(init=False)
     _weights: np.ndarray = field(init=False, repr=False)
     _pinned: np.ndarray = field(init=False, repr=False)
     _dofs: np.ndarray = field(init=False, repr=False)
@@ -198,15 +197,8 @@ class MembraneProblem:
         def put(name, value):
             object.__setattr__(self, name, value)
 
-        # J[e, 2 i + c, 3 v + k] = delta_ik B[e, v, c], where row v of B
-        # gives vertex v's weights in column c of F.
         dm = self.dm_inv
-        b = np.stack([-(dm[:, 0, :] + dm[:, 1, :]), dm[:, 0, :], dm[:, 1, :]], axis=1)
-        j = np.zeros((len(dm), 3, 2, 3, 3))
-        for i in range(3):
-            j[:, i, :, :, i] = b.transpose(0, 2, 1)
-        put("pullback", j.reshape(-1, 6, 9))
-        put("_weights", b)
+        put("_weights", np.stack([-(dm[:, 0] + dm[:, 1]), dm[:, 0], dm[:, 1]], axis=1))
         pinned = np.zeros(self.n_vertices, dtype=bool)
         pinned[self.pin_vertices] = True
         put("_pinned", np.repeat(pinned, 3))
@@ -237,9 +229,9 @@ def _require_int(name, value, least):
 
 @dataclass(frozen=True)
 class NewtonConfig:
-    """Projected-Newton parameters: stop when max|g| <= ``tol`` (finite and
-    >= 0), or after ``max_iters`` (an integer >= 0, not a bool) Newton
-    steps."""
+    """Projected-Newton parameters: stop when max|g| <= ``tol`` (a finite
+    number >= 0, not a bool), or after ``max_iters`` (an integer >= 0, not a
+    bool) Newton steps."""
 
     tol: float = 1e-8
     max_iters: int = 100
@@ -251,7 +243,7 @@ class NewtonConfig:
             ok = math.isfinite(self.tol) and self.tol >= 0.0
         except OverflowError:  # an int that no float holds
             ok = False
-        if not ok:
+        if not ok or isinstance(self.tol, (bool, np.bool_)):
             raise ValueError(f"tol must be finite and >= 0, got {self.tol}")
         _require_int("max_iters", self.max_iters, 0)
 
@@ -455,17 +447,16 @@ def total_energy(problem, positions):
     return _energy(problem, positions, d.psi)
 
 
-def _element_hessians(problem, d, svd, project):
-    """Element Hessians (E, 9, 9) over the nine vertex coordinates:
-    G^T diag(area lambda) G for the eigenvalues lambda of the derivatives
-    ``d`` at the decompositions ``svd``, clamped at zero when ``project`` is
-    true (``project_psd``'s clamp), and G = Q J.
+def _element_terms(problem, d, svd, project):
+    """Element gradients (E, 9) and Hessians (E, 9, 9) over the nine vertex
+    coordinates, at the derivatives ``d`` and decompositions ``svd``.
 
-    Each eigenmatrix is Q_i = U C_i V^T for a fixed coefficient pattern C_i,
-    so the rows of G are C (R^T J), where R^T J is U[e, k, a] (B V)[e, v, b]
-    in row (a, b) and column (v, k): nothing is lifted.  R^T J is formed
-    component-major, (a, b, v, k, E), as svd32 works, so each product is one
-    pass over all elements."""
+    Both come from R^T J, U[e, k, a] (B V)[e, v, b] in row (a, b) and
+    column (v, k): the gradient is area times the principal stresses
+    (p1, p2) on rows (0, 0) and (1, 1), and the Hessian is
+    G^T diag(area lambda) G with G = C (R^T J), lambda clamped at zero when
+    ``project`` is true.  R^T J is formed component-major, (a, b, v, k, E),
+    as svd32 works, so each product is one pass over all elements."""
     values, va, vb = _rotated_eigensystem(d, svd)
     lam = _pack(values)
     if project:
@@ -473,15 +464,18 @@ def _element_hessians(problem, d, svd, project):
     uc = np.ascontiguousarray(svd.u.transpose(2, 1, 0))
     bvc = np.ascontiguousarray((problem._weights @ svd.v).transpose(2, 1, 0))
     rtj = (uc[:, None, None] * bvc[None, :, :, None]).reshape(54, -1).T.reshape(-1, 6, 9)
+    area = problem.area[:, None]
+    p1, p2 = _principal_stresses(d, *svd.sigma)
+    ge = area * (p1[:, None] * rtj[:, 0] + p2[:, None] * rtj[:, 3])
     g = _slot_coeffs(va, vb).reshape(-1, 6, 6) @ rtj
-    return np.swapaxes(g, 1, 2) @ ((problem.area[:, None] * lam)[:, :, None] * g)
+    return ge, np.swapaxes(g, 1, 2) @ ((area * lam)[:, :, None] * g)
 
 
 def assemble(problem, positions, project=True):
     """Energy, gradient, and sparse Hessian at given positions.
 
     Element Hessians are the closed-form eigensystems, eigenvalue-clamped
-    when ``project`` is true, pulled back to the 9 vertex coordinates.
+    when ``project`` is true, taken to the 9 vertex coordinates.
     Pinned degrees of freedom get zero gradient entries and identity
     rows/columns.
 
@@ -493,10 +487,7 @@ def assemble(problem, positions, project=True):
     n = problem.n_vertices
     f, d = _element_derivs(problem, positions)
     energy = _energy(problem, positions, d.psi)
-    svd = svd32(f)
-    p = _stress(d, svd, f).reshape(-1, 1, 6)
-    ge = problem.area[:, None] * (p @ problem.pullback)[:, 0, :]
-    he = _element_hessians(problem, d, svd, project)
+    ge, he = _element_terms(problem, d, svd32(f), project)
 
     grad = np.bincount(problem._dofs.ravel(), weights=ge.ravel(), minlength=3 * n)
     if problem.gravity.any():

@@ -2,6 +2,8 @@
 
 import numpy as np
 
+from .fem import _require_int
+
 __all__ = ["grid_mesh", "load_obj", "save_obj"]
 
 
@@ -86,10 +88,11 @@ def grid_mesh(nx, ny):
     each quad split in two.
 
     Returns ((nx+1)*(ny+1) positions, 2*nx*ny triangles).  Vertex (i, j)
-    sits at (i / nx, j / ny, 0) with index i + j * (nx + 1).
+    sits at (i / nx, j / ny, 0) with index i + j * (nx + 1).  Raises
+    ValueError unless nx and ny are integers >= 1 (a bool is not).
     """
-    if nx < 1 or ny < 1:
-        raise ValueError("grid_mesh needs at least one quad per side")
+    _require_int("nx", nx, 1)
+    _require_int("ny", ny, 1)
     x, y = np.meshgrid(np.linspace(0.0, 1.0, nx + 1), np.linspace(0.0, 1.0, ny + 1))
     positions = np.column_stack([x.ravel(), y.ravel(), np.zeros(x.size)])
     # Quad (i, j) has corners a, b = a + 1, c = a + nx + 1 and d = c + 1.

@@ -89,12 +89,13 @@ class DomainError(ValueError):
 
 
 def _check_mu(mu):
-    """Raise ValueError unless the stiffness ``mu`` is finite and > 0."""
+    """Raise ValueError unless the stiffness ``mu`` is finite and > 0 (a
+    bool is not a number)."""
     try:
         ok = math.isfinite(mu) and mu > 0.0
     except OverflowError:  # an int that no float holds
         ok = False
-    if not ok:
+    if not ok or isinstance(mu, (bool, np.bool_)):
         raise ValueError(f"mu must be finite and > 0, got {mu}")
 
 
@@ -145,7 +146,8 @@ class ModelDerivs:
 class NeoHookeanSheet:
     """Incompressible neo-Hookean sheet: psi = mu/2 * (I2 + 1/I3^2 - 3).
 
-    The stiffness ``mu`` must be finite and > 0; the domain is I3 >= I3_FLOOR.
+    The stiffness ``mu`` must be a finite number > 0, not a bool; the
+    domain is I3 >= I3_FLOOR.
     """
 
     mu: float
@@ -172,16 +174,12 @@ def _per_matrix(c):
     return c[..., None, None] if np.ndim(c) else c
 
 
-def _stress(d, svd, f):
-    """d psi / dF = sum_k f_k g_k for one F (3x2) or a stack (..., 3, 2)."""
+def energy_gradient(model, svd, f):
+    """Gradient of psi(F): sum_k f_k * g_k, a 3x2 array (or a stack)."""
+    d = model.derivs(invariants(svd))
     g1, g2, g3 = invariant_gradients(svd, f)
     c1, c2, c3 = (_per_matrix(c) for c in (d.f1, d.f2, d.f3))
     return c1 * g1 + c2 * g2 + c3 * g3
-
-
-def energy_gradient(model, svd, f):
-    """Gradient of psi(F): sum_k f_k * g_k, a 3x2 array (or a stack)."""
-    return _stress(model.derivs(invariants(svd)), svd, f)
 
 
 def energy_hvp(model, svd, fdot):
@@ -253,6 +251,11 @@ def _mode_values(d, s1, s2):
     lam_n1 = 2.0 * d.f2 + d.f1 / s1 + d.f3 * s2 / s1
     lam_n2 = 2.0 * d.f2 + d.f1 / s2 + d.f3 * s1 / s2
     return lam_twist, lam_flip, lam_n1, lam_n2
+
+
+def _principal_stresses(d, s1, s2):
+    """(p1, p2) with d psi / dF = U pad(p1, p2) V^T: p_i = f1 + 2 f2 s_i + f3 s_j."""
+    return d.f1 + 2.0 * d.f2 * s1 + d.f3 * s2, d.f1 + 2.0 * d.f2 * s2 + d.f3 * s1
 
 
 def _rotated_eigensystem(d, svd):

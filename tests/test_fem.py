@@ -168,6 +168,13 @@ def test_newton_config_max_iters_must_be_an_integer(max_iters):
     assert me.NewtonConfig(max_iters=np.int64(3)).max_iters == 3
 
 
+@pytest.mark.parametrize("tol", [True, False, np.True_, np.False_])
+def test_newton_config_tol_must_not_be_a_bool(tol):
+    # As in a scene file, where "tol": true is not a number.
+    with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+        me.NewtonConfig(tol=tol)
+
+
 def test_total_energy_checks_positions_like_assemble():
     rest, tris = me.grid_mesh(2, 2)
     gravity = [0.0, 0.0, -1.0]
@@ -463,6 +470,32 @@ def test_assemble_matches_scalar_route(seed):
     assert me.total_energy(problem, x) == energy
 
 
+def test_flat_sheet_has_exactly_zero_normal_terms():
+    # In the z = 0 plane the normal gradient and the couplings between
+    # in-plane and normal dofs are exact zeros, not roundoff, so a flat
+    # stretch stays exactly flat (the benchmark's stretch check asks for
+    # z == 0.0).
+    rng = np.random.default_rng(4)
+    rest, tris = me.grid_mesh(8, 8)
+    x = rest * [1.4, 0.9, 1.0]
+    x[:, :2] += 0.02 * rng.uniform(-1.0, 1.0, (len(rest), 2))
+    free = me.make_problem(rest, tris, me.NeoHookeanSheet(1.0))
+    normal = np.arange(3 * len(rest)) % 3 == 2
+    for project in (True, False):
+        _, grad, hess = me.assemble(free, x, project=project)
+        assert np.all(grad[normal] == 0.0)
+        h = hess.toarray()
+        assert np.all(h[np.ix_(normal, ~normal)] == 0.0)
+        assert np.all(h[np.ix_(~normal, normal)] == 0.0)
+    sides = np.flatnonzero((rest[:, 0] == 0.0) | (rest[:, 0] == 1.0))
+    pinned = me.make_problem(
+        rest, tris, me.NeoHookeanSheet(1.0), pins={int(v): x[v] for v in sides}
+    )
+    y, report = me.newton_solve(pinned, x)
+    assert report.termination == "converged" and report.iterations > 0
+    assert np.all(y[:, 2] == 0.0)
+
+
 def test_element_i3_is_the_einsum_of_np_cross_bitwise():
     # I3 is written out for speed; it must stay the bits that the einsum of
     # np.cross gives.  A model that accepts any I3 records it.
@@ -495,7 +528,9 @@ def _random_stack_problem():
 @pytest.mark.parametrize("project", [True, False])
 @pytest.mark.parametrize("source", ["random_stack", "random_patch"])
 def test_rotated_frame_hessians_match_lifted_eigenmatrices(source, project):
-    # G = C (R^T J) against G = Q J, with Q the lifted eigenmatrices.
+    # G = C (R^T J) against G = Q J, with Q the lifted eigenmatrices; the
+    # gradient from the principal stresses on rows (0, 0) and (1, 1) of
+    # R^T J against the world-frame d psi / dF pulled back by J.
     if source == "random_stack":
         problem, x = _random_stack_problem()
     else:
@@ -507,10 +542,22 @@ def test_rotated_frame_hessians_match_lifted_eigenmatrices(source, project):
         assert np.any(eig.values < 0.0)
     if project:
         eig = me.project_psd(eig)
-    g = eig.matrices.reshape(-1, 6, 6) @ problem.pullback
+    j = np.stack([_pullback_6x9(dm) for dm in problem.dm_inv])
+    g = eig.matrices.reshape(-1, 6, 6) @ j
     want = np.swapaxes(g, 1, 2) @ ((problem.area[:, None] * eig.values)[:, :, None] * g)
-    got = fem._element_hessians(problem, d, svd, project)
+    ge, got = fem._element_terms(problem, d, svd, project)
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    stress = me.energy_gradient(problem.model, svd, f)
+    want = problem.area[:, None] * (stress.reshape(-1, 1, 6) @ j)[:, 0]
+    assert np.max(np.abs(ge - want)) <= 1e-14 * np.max(np.abs(want))
+    # In the rotated frame d psi / dF is pad(p1, p2).
+    rotated = svd.rotate(stress)
+    p = np.stack(models._principal_stresses(d, *svd.sigma), axis=-1)
+    scale = np.max(np.abs(p))
+    assert np.max(np.abs(rotated[:, [0, 1], [0, 1]] - p)) <= 1e-14 * scale
+    assert np.max(np.abs(rotated[:, [0, 1], [1, 0]])) <= 1e-14 * scale
+    assert np.max(np.abs(rotated[:, 2])) <= 1e-14 * scale
 
 
 def test_newton_rest_state_converges_immediately():

@@ -35,6 +35,14 @@ def test_grid_mesh_rejects_empty():
         me.grid_mesh(0, 3)
 
 
+@pytest.mark.parametrize("size", [2.0, 2.5, True, "3", 0])
+def test_grid_mesh_sizes_must_be_integers(size):
+    # The library's integer rule: a whole float or a bool is not a size.
+    for nx, ny in ((size, 2), (2, size)):
+        with pytest.raises(ValueError, match="must be an integer >= 1"):
+            me.grid_mesh(nx, ny)
+
+
 def test_obj_round_trip_exact(tmp_path):
     rng = np.random.default_rng(5)
     positions = rng.uniform(-3, 3, (7, 3))

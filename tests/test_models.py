@@ -107,6 +107,15 @@ def test_sheet_eigensystem_rejects_bad_mu(diag21, mu):
         NeoHookeanSheet(mu)
 
 
+@pytest.mark.parametrize("mu", [True, np.True_])
+def test_sheet_rejects_a_bool_mu(diag21, mu):
+    # A bool is not a stiffness, as "mu": true in a scene is not a number.
+    with pytest.raises(ValueError, match="mu must be finite and > 0"):
+        NeoHookeanSheet(mu)
+    with pytest.raises(ValueError, match="mu must be finite and > 0"):
+        sheet_eigensystem(mu, diag21[1])
+
+
 def test_energy_gradient_diag21(diag21):
     f, s = diag21
     g = energy_gradient(NeoHookeanSheet(1.0), s, f)
