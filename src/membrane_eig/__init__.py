@@ -21,10 +21,8 @@ __version__ = "0.1.0"
 __all__ = ["__version__"]
 
 # Top-down, so that checks.py, the largest module, is compiled before the
-# others are loaded.  Where no bytecode is cached, its compile then peaks
-# over less live memory: the import's peak RSS is 29.0 MB, against 30.1 MB
-# with svd first (Python 3.11.7, numpy 2.4.6, x86-64 Linux).  The import
-# loads numpy only; fem loads scipy at the first sparse call.
+# others are loaded, over less live memory.  The import loads numpy only;
+# fem loads scipy at the first sparse call.
 _modules = [
     importlib.import_module(f"{__name__}.{name}")
     for name in (

@@ -21,15 +21,16 @@ count.  A sampled check is one call on its whole ensemble,
 ``check(rng, *sample(rng, n))``: ``check(rng, f, s)`` for the F-sampled
 checks, ``check(rng, a)`` for the Jacobi oracle's (n, 6, 6) symmetric
 matrices.  It draws its own perturbations after the ensemble, each kind in
-one call for all n trials in trial order, calls each FD oracle once on the
-whole ensemble, loops only the Jacobi oracle, and returns a list of (n,)
-or (n, k) error arrays, row t holding trial t's errors.  A check without
-a sampler is called n times as ``check(rng)``, each call returning one
-error or a list.  The report keeps the largest error, a NaN counting as
-the largest and the first trial winning ties, and fails when it exceeds
-``tol``; it carries that trial's sample as its counterexample where there
-is one.  Kernels are looked up through their modules at call time, so a
-patched kernel is the one checked.
+one call for all n trials in trial order, calls each FD oracle once per
+function on the whole ensemble and the Jacobi oracle once on the stack of
+all its matrices, and returns a list of (n,) or (n, k) error arrays, row t
+holding trial t's errors.  A check without a sampler is called n times as
+``check(rng)``, each call returning one error or a list.  The report keeps
+the largest error, a NaN counting as the largest and the first trial
+winning ties, and fails when it exceeds ``tol``; it carries that trial's
+sample as its counterexample where there is one.  Kernels are looked up
+through their modules at call time, so a patched kernel is the one
+checked.
 
 ``run_bench`` times the sheet's closed-form spectrum against the FD +
 Jacobi oracle route on the checks' sheet and admissible sampler.
@@ -168,30 +169,20 @@ def random_f_admissible(rng, n, min_i3=0.05):
     return _draw(rng, n, lambda s: s.sigma[0] * s.sigma[1] > min_i3)
 
 
-def _norms(x):
-    # Frobenius norm of each matrix of the stack x as one dot product: bitwise
-    # np.linalg.norm of that matrix alone, which a norm over two axes is not.
-    flat = x.reshape(len(x), -1)
-    return np.sqrt(flat[:, None, :] @ flat[:, :, None]).reshape(-1)
-
-
 def _unit_fdot(rng, n):
     d = rng.uniform(-1.0, 1.0, size=(n, 3, 2))
-    return d / _norms(d)[:, None, None]
+    return d / orc_mod._frobenius(d)[:, None, None]
 
 
 def _jacobi(stack):
-    """The Jacobi oracle on each symmetric matrix of a stack, one matrix per
-    call: its (n, m) eigenvalues and (n, m, m) eigenvectors.  Both are NaN
-    for a matrix the oracle rejects as asymmetric, so that trial fails with
-    its witness instead of raising out of run_checks."""
+    """The Jacobi oracle on a (B..., m, m) stack of symmetric matrices, in
+    one call: its (B..., m) eigenvalues and (B..., m, m) eigenvectors.
+    Both are NaN for a matrix the oracle rejects as asymmetric, so that
+    trial fails with its witness instead of raising out of run_checks."""
     values, vectors = np.full(stack.shape[:-1], np.nan), np.full(stack.shape, np.nan)
-    for k, a in enumerate(stack):
-        try:
-            spec = orc_mod.jacobi_eigen_sym(a)
-        except orc_mod.NotSymmetric:
-            continue
-        values[k], vectors[k] = spec.values, spec.vectors
+    kept = ~orc_mod._asymmetric(stack)
+    spec = orc_mod.jacobi_eigen_sym(stack[kept])
+    values[kept], vectors[kept] = spec.values, spec.vectors
     return values, vectors
 
 
@@ -212,7 +203,7 @@ def _max_abs(x):
 
 @_check(1e-12, _draw)
 def _check_svd_reconstruction(rng, f, s):
-    return [_max_abs(f - s.reconstruct()) / np.maximum(1.0, _norms(f))]
+    return [_max_abs(f - s.reconstruct()) / np.maximum(1.0, orc_mod._frobenius(f))]
 
 
 @_check(1e-12, _draw)
@@ -381,15 +372,14 @@ def _check_eigen_padding(rng, f, s):
 # The dense-oracle route is expensive, so it runs a documented fraction.
 @_check(1e-4, random_f_nondegenerate, share=20)
 def _check_eigen_spectrum_oracle(rng, f, s):
-    errors = []
-    for which in ("I1", "I2", "I3"):
-        analytic = np.sort(inv_mod.invariant_eigensystem(which, s).values)
-        oracle, _ = _jacobi(orc_mod.fd_hessian6(_invariant_fn(which), f, h=1e-4))
-        # FD perturbs every eigenvalue by up to the matrix-norm error
-        # (Weyl), so normalize by the spectral scale.
-        scale = np.maximum(1.0, np.max(np.abs(oracle), axis=1))
-        errors.append(np.max(np.abs(analytic - oracle), axis=1) / scale)
-    return errors
+    names = ("I1", "I2", "I3")
+    dense = [orc_mod.fd_hessian6(_invariant_fn(w), f, h=1e-4) for w in names]
+    oracle, _ = _jacobi(np.stack(dense))
+    analytic = np.sort([inv_mod.invariant_eigensystem(w, s).values for w in names])
+    # FD perturbs every eigenvalue by up to the matrix-norm error (Weyl), so
+    # normalize by the spectral scale.
+    scale = np.maximum(1.0, np.max(np.abs(oracle), axis=2))
+    return list(np.max(np.abs(analytic - oracle), axis=2) / scale)
 
 
 # -------------------------------------------------------------- sheet checks
@@ -623,7 +613,7 @@ def _check_oracle_jacobi(rng, a):
     lam, q = _jacobi(a)
     resid = a @ q - q * lam[:, None, :]
     return [
-        _max_abs(resid) / np.maximum(1.0, _norms(a)),
+        _max_abs(resid) / np.maximum(1.0, orc_mod._frobenius(a)),
         _max_abs(np.swapaxes(q, 1, 2) @ q - np.eye(6)),
         np.maximum(0.0, np.max(lam[:, :-1] - lam[:, 1:], axis=1)),
     ]

@@ -10,9 +10,13 @@ call, on the perturbation stacks of every F at once.  Their results equal,
 bitwise, what a loop calling ``fn`` on one F at a time would give, as long
 as ``fn`` treats each member of a stack as it would treat it alone.
 
-The eigensolver rotates nested lists of Python floats one scalar at a
-time.  Its values and vectors equal, bitwise, those of the same cyclic
-Jacobi loop rotating whole numpy rows and columns.
+The eigensolver takes one n x n matrix or a stack (B..., n, n) of them,
+under the same rule.  A lone matrix is rotated as nested lists of Python
+floats, one scalar at a time; its values and vectors equal, bitwise, those
+of the same cyclic Jacobi loop rotating whole numpy rows and columns.  A
+stack runs one such loop for all its members at once, each rotation
+acting on the rows and columns of every member still sweeping, and each
+member's result equals, bitwise, the lone call on that matrix.
 """
 
 import math
@@ -39,14 +43,15 @@ class Spectrum6:
 
 
 def _validated(f, h):
-    """f's row-major flattening (B..., 6) and h as a float."""
+    """f's row-major flattening (B..., 6) and h as a float; a bool h is not a
+    number."""
     f = np.asarray(f, dtype=float)
     if f.shape[-2:] != (3, 2):
         raise ValueError(f"f must be 3x2 or a stack of 3x2, got shape {f.shape}")
-    h = float(h)
-    if not (np.isfinite(h) and h > 0.0):
+    step = float(h)
+    if not (np.isfinite(step) and step > 0.0) or isinstance(h, (bool, np.bool_)):
         raise ValueError(f"h must be finite and > 0, got {h}")
-    return f.reshape(f.shape[:-2] + (6,)), h
+    return f.reshape(f.shape[:-2] + (6,)), step
 
 
 def _values(fn, x):
@@ -84,8 +89,8 @@ def fd_gradient(fn, f, h=1e-5):
     Raises
     ------
     ValueError
-        If f is not 3x2 or a stack of 3x2, h is not finite and > 0, or fn
-        does not return exactly one value per perturbed F.
+        If f is not 3x2 or a stack of 3x2, h is not finite and > 0 (or is
+        a bool), or fn does not return exactly one value per perturbed F.
     """
     flat, h = _validated(f, h)
     plus, minus = np.split(_values(fn, _axis_steps(flat, h)), 2, axis=-1)
@@ -109,8 +114,8 @@ def fd_hessian6(fn, f, h=1e-4):
     Raises
     ------
     ValueError
-        If f is not 3x2 or a stack of 3x2, h is not finite and > 0, or fn
-        does not return exactly one value per perturbed F.
+        If f is not 3x2 or a stack of 3x2, h is not finite and > 0 (or is
+        a bool), or fn does not return exactly one value per perturbed F.
     """
     flat, h = _validated(f, h)
     batch = flat.shape[:-1]
@@ -133,6 +138,14 @@ def fd_hessian6(fn, f, h=1e-4):
     return 0.5 * (out + np.swapaxes(out, -1, -2))
 
 
+def _asymmetric(a):
+    """Where a matrix, or each member of a (B..., n, n) stack, is not
+    symmetric to 1e-10: max|a - a^T| > 1e-10.  The oracle's one symmetry
+    rule; a member with a non-finite entry does not count here."""
+    with np.errstate(invalid="ignore"):  # inf - inf
+        return np.max(np.abs(a - np.swapaxes(a, -1, -2)), axis=(-2, -1)) > 1e-10
+
+
 def jacobi_eigen_sym(a):
     """Dense symmetric eigendecomposition by cyclic Jacobi rotations.
 
@@ -141,28 +154,38 @@ def jacobi_eigen_sym(a):
     their eigenvector columns; each vector's largest-magnitude component is
     made positive so the output is deterministic.
 
-    The rotations run on nested lists of Python floats, one scalar at a
-    time: each entry gets the same IEEE operations, in the same order, as a
-    numpy loop rotating whole rows and columns would give it, so the
-    results equal that loop's bitwise.  The stop test and the final sort
-    run in numpy.  The loop runs on a copy scaled by a power of two near
-    1 / max|a|, and the values are scaled back, so it holds for entries of
-    any magnitude.
+    ``a`` is one n x n matrix or a (B..., n, n) stack of them, giving
+    (B..., n) values and (B..., n, n) vectors.  A lone matrix's rotations
+    run on nested lists of Python floats, one scalar at a time: each entry
+    gets the same IEEE operations, in the same order, as a numpy loop
+    rotating whole rows and columns would give it, so the results equal
+    that loop's bitwise.  The stop test and the final sort run in numpy.
+    The loop runs on a copy scaled by a power of two near 1 / max|a|, and
+    the values are scaled back, so it holds for entries of any magnitude.
+    A stack runs that numpy loop on all its members at once (see
+    ``_jacobi_stack``), so each member equals its lone call bitwise.
 
     Raises
     ------
     ValueError
-        If a is not a nonempty square matrix, or has a non-finite entry.
+        If a is not a nonempty square matrix or a stack of them, or has a
+        non-finite entry; for a stack, the message names the first such
+        member by its flat index.
     NotSymmetric
-        If max|a - a^T| > 1e-10.
+        If max|a - a^T| > 1e-10, for a stack in some member; the message
+        names the first.
     """
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] == 0:
+        raise ValueError(
+            f"expected a square matrix or a stack of them, got shape {a.shape}"
+        )
+    if a.ndim > 2:
+        return _jacobi_stack(a)
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix has non-finite entries")
     n = a.shape[0]
-    if np.max(np.abs(a - a.T)) > 1e-10:
+    if _asymmetric(a):
         raise NotSymmetric("matrix is not symmetric to 1e-10")
 
     # Rotate a / 2^e, 2^e ~ max|a|: the scaling is exact, neither a + a^T
@@ -223,3 +246,100 @@ def jacobi_eigen_sym(a):
         if vectors[lead, k] < 0.0:
             vectors[:, k] = -vectors[:, k]
     return Spectrum6(values=values, vectors=vectors)
+
+
+def _frobenius(x):
+    """The Frobenius norm of each matrix of a (k, r, c) stack, as one dot
+    product of its row-major entries: bitwise np.linalg.norm of that
+    matrix alone, which a norm over two axes is not."""
+    flat = x.reshape(len(x), x.shape[1] * x.shape[2])
+    return np.sqrt(flat[:, None, :] @ flat[:, :, None]).reshape(-1)
+
+
+def _rotate(x, y, c, s, skip):
+    """x, y <- c x - s y, s x + c y in place, except in the members where
+    the mask ``skip`` holds."""
+    new_x = c * x - s * y
+    new_y = s * x + c * y
+    if skip is not None:
+        new_x = np.where(skip, x, new_x)
+        new_y = np.where(skip, y, new_y)
+    x[...] = new_x
+    y[...] = new_y
+
+
+def _jacobi_stack(a):
+    """jacobi_eigen_sym on a (B..., n, n) stack.
+
+    Each member is scaled, symmetrized and tested as a lone matrix is.
+    The members then sweep together: each rotation (p, q) runs once on
+    rows and columns holding every sweeping member, with that member's own
+    c and s, and leaves unchanged the members whose a_pq it skips.  A
+    member leaves at the first sweep whose stop test it meets, and a zero
+    matrix never enters.  The member axis is last, and each member's a
+    sits over its v, so one column rotation updates both.
+    """
+    batch, n = a.shape[:-2], a.shape[-1]
+    a = a.reshape((-1, n, n))
+    bad = ~np.all(np.isfinite(a), axis=(1, 2))
+    if bad.any():
+        raise ValueError(f"member {np.flatnonzero(bad)[0]} has non-finite entries")
+    bad = _asymmetric(a)
+    if bad.any():
+        raise NotSymmetric(
+            f"member {np.flatnonzero(bad)[0]} is not symmetric to 1e-10"
+        )
+
+    e = np.frexp(np.max(np.abs(a), axis=(1, 2)))[1]
+    a = np.ldexp(a, -e[:, None, None])
+    a = 0.5 * (a + np.swapaxes(a, 1, 2))
+    norm = _frobenius(a)
+    a[norm == 0.0] = 0.0  # a zero matrix gives +0.0 values, as alone
+    # [a; v] of every member, (2n, n, m), and w, that of the members still
+    # sweeping; take and compress keep w C-contiguous.
+    full = np.concatenate((a, np.broadcast_to(np.eye(n), a.shape)), axis=1)
+    full = full.transpose(1, 2, 0)
+    live = np.flatnonzero(norm != 0.0)
+    w, limit = full.take(live, axis=2), 1e-14 * norm[live]
+    diag = np.arange(n)
+    # tau * tau overflows to inf as a Python float does, giving t = 0.
+    with np.errstate(over="ignore"):
+        for _ in range(_MAX_SWEEPS):
+            off = w[:n].transpose(2, 0, 1).copy()
+            off[:, diag, diag] = 0.0
+            done = _frobenius(off) <= limit
+            if done.any():
+                full[..., live[done]] = w[..., done]
+                w, live, limit = w.compress(~done, axis=2), live[~done], limit[~done]
+            if not live.size:
+                break
+            for p in range(n - 1):
+                for q in range(p + 1, n):
+                    apq = w[p, q]
+                    skip = np.abs(apq) <= 1e-300
+                    if skip.any():
+                        if skip.all():
+                            continue
+                        apq = np.where(skip, 1.0, apq)  # no 0 / 0 where unused
+                    else:
+                        skip = None
+                    tau = (w[q, q] - w[p, p]) / (2.0 * apq)
+                    root = np.sqrt(1.0 + tau * tau)
+                    t = np.where(tau >= 0.0, 1.0, -1.0) / (np.abs(tau) + root)
+                    c = 1.0 / np.sqrt(1.0 + t * t)
+                    s = t * c
+                    # Columns p and q of a and v, then rows p and q of a.
+                    _rotate(w[:, p], w[:, q], c, s, skip)
+                    _rotate(w[p], w[q], c, s, skip)
+        full[..., live] = w
+
+    values = np.ldexp(full[diag, diag].T, e[:, None])
+    order = np.argsort(values, axis=1, kind="stable")
+    values = np.take_along_axis(values, order, axis=1)
+    vectors = np.take_along_axis(full[n:].transpose(2, 0, 1), order[:, None], axis=2)
+    lead = np.argmax(np.abs(vectors), axis=1)[:, None]
+    flip = np.take_along_axis(vectors, lead, axis=1) < 0.0
+    vectors = np.where(flip, -vectors, vectors)
+    return Spectrum6(
+        values=values.reshape(batch + (n,)), vectors=vectors.reshape(batch + (n, n))
+    )

@@ -277,6 +277,26 @@ def test_psd_projection_reports_an_oracle_rejection_instead_of_raising():
     assert r.counterexample == _ASYMMETRIC_DENSE6_F
 
 
+def test_jacobi_gives_a_nan_row_only_to_the_rejected_member(monkeypatch):
+    # One oracle call on the whole stack: the asymmetric member's rows are
+    # NaN, and its neighbours' rows equal their lone oracle calls bitwise.
+    good, _ = checks.random_f_admissible(np.random.default_rng(9), 4)
+    f = np.insert(good, 2, _ASYMMETRIC_DENSE6_F, axis=0)
+    dense = me.project_psd(me.energy_eigensystem(checks._SHEET, me.svd32(f))).dense6()
+    calls = []
+    oracle = checks.orc_mod.jacobi_eigen_sym
+    monkeypatch.setattr(
+        checks.orc_mod, "jacobi_eigen_sym", lambda a: calls.append(a) or oracle(a)
+    )
+    values, vectors = checks._jacobi(dense)
+    assert len(calls) == 1
+    assert np.isnan(values[2]).all() and np.isnan(vectors[2]).all()
+    for k in (0, 1, 3, 4):
+        lone = oracle(dense[k])
+        assert values[k].tobytes() == lone.values.tobytes()
+        assert vectors[k].tobytes() == lone.vectors.tobytes()
+
+
 @pytest.mark.parametrize(
     "sampler",
     [

@@ -165,7 +165,7 @@ def test_oracles_reject_a_non_3x2_f(oracle):
 
 
 @pytest.mark.parametrize("oracle", [fd_gradient, fd_hessian6])
-@pytest.mark.parametrize("h", [0.0, -1e-5, np.nan, np.inf])
+@pytest.mark.parametrize("h", [0.0, -1e-5, np.nan, np.inf, True, np.True_])
 def test_oracles_reject_a_bad_step(oracle, h):
     with pytest.raises(ValueError, match="h must be"):
         oracle(quartic, F0, h=h)
@@ -236,10 +236,29 @@ def test_jacobi_rejects_non_finite_input():
             jacobi_eigen_sym(a)
 
 
-@pytest.mark.parametrize("shape", [(), (3,), (2, 3), (2, 2, 2), (0, 0)])
+@pytest.mark.parametrize("shape", [(), (3,), (2, 3), (2, 2, 3), (0, 0), (2, 0, 0)])
 def test_jacobi_rejects_a_non_square_input(shape):
     with pytest.raises(ValueError, match="expected a square matrix"):
         jacobi_eigen_sym(np.zeros(shape))
+
+
+def test_jacobi_names_the_first_rejected_member_of_a_stack():
+    stack = np.array([_symmetric(np.random.default_rng(38 + k), 4) for k in range(6)])
+    stack[4, 0, 3] = np.nan
+    stack[2, 1, 2] += 1e-6
+    stack[5, 2, 1] = np.inf
+    with pytest.raises(ValueError, match="member 4 has non-finite"):
+        jacobi_eigen_sym(stack)
+    stack[4, 0, 3] = stack[5, 2, 1] = 0.0
+    # The member's flat index over the batch axes.
+    with pytest.raises(NotSymmetric, match="member 2 is not symmetric"):
+        jacobi_eigen_sym(stack.reshape(2, 3, 4, 4))
+
+
+def test_jacobi_on_an_empty_stack():
+    spec = jacobi_eigen_sym(np.zeros((0, 5, 5)))
+    assert spec.values.shape == (0, 5)
+    assert spec.vectors.shape == (0, 5, 5)
 
 
 def _numpy_jacobi(a):
@@ -361,3 +380,54 @@ def test_jacobi_spectrum_at_extreme_scales(scale):
     # a + a^T overflows.
     spec = jacobi_eigen_sym(scale * np.array([[1.0, 2.0], [2.0, 1.0]]))
     assert np.allclose(spec.values / scale, [-1.0, 3.0], rtol=1e-14, atol=0.0)
+
+
+def _assert_stack_matches_lone_calls(stack):
+    # Each member equals, bit for bit, the lone call on that matrix, and
+    # the result gains the stack's leading axes.
+    spec = jacobi_eigen_sym(stack)
+    n = stack.shape[-1]
+    assert spec.values.shape == stack.shape[:-1]
+    assert spec.vectors.shape == stack.shape
+    values, vectors = spec.values.reshape(-1, n), spec.vectors.reshape(-1, n, n)
+    for k, a in enumerate(stack.reshape(-1, n, n)):
+        lone = jacobi_eigen_sym(a)
+        assert values[k].tobytes() == lone.values.tobytes()
+        assert vectors[k].tobytes() == lone.vectors.tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 6])
+def test_jacobi_stack_equals_lone_calls_on_random_matrices(n):
+    rng = np.random.default_rng(41 + n)
+    for size in (1, 2, 20):
+        stack = np.array([_symmetric(rng, n) for _ in range(size)])
+        _assert_stack_matches_lone_calls(stack)
+
+
+def test_jacobi_stack_equals_lone_calls_on_sheet_hessians():
+    rng = np.random.default_rng(43)
+    fs, s = random_f_admissible(rng, 12)
+    _assert_stack_matches_lone_calls(project_psd(sheet_eigensystem(1.3, s)).dense6())
+    _assert_stack_matches_lone_calls(fd_hessian6(_sheet_psi, fs))
+    grid = fs[:6].reshape(2, 3, 3, 2)
+    _assert_stack_matches_lone_calls(fd_hessian6(_sheet_psi, grid))
+
+
+def test_jacobi_stack_equals_lone_calls_on_mixed_members():
+    # Members that leave the sweep at different times or never enter it,
+    # skip different pairs, or sit at extreme scales, side by side.
+    rng = np.random.default_rng(44)
+    skipped = np.diag([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+    skipped[:3, :3] = [[1.0, 1e-310, 0.0], [1e-310, 2.0, 0.5], [0.0, 0.5, 3.0]]
+    members = [
+        np.zeros((6, 6)),
+        _symmetric(rng, 6),
+        np.diag([3.0, -1.0, 2.0, 0.0, 5.0, -4.0]),
+        skipped,
+        np.full((6, 6), -0.0),
+        _symmetric(rng, 6, scale=1e-200),
+        _symmetric(rng, 6),
+        _symmetric(rng, 6, scale=1e200),
+    ]
+    _assert_stack_matches_lone_calls(np.array(members))
+    _assert_stack_matches_lone_calls(np.array(members).reshape(2, 4, 6, 6))
