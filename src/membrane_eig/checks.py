@@ -487,7 +487,7 @@ def _check_psd_projection(rng, f, s):
         np.maximum(0.0, -np.min(proj.values, axis=1)),
         np.maximum(0.0, -quad) / scale,
         np.maximum(0.0, -min_eig) / scale,
-        _max_abs(dense - np.swapaxes(dense, 1, 2)),
+        _max_abs(dense - np.swapaxes(dense, 1, 2)) / scale,
         np.max(np.abs(twice.values - proj.values), axis=1) / scale,
     ]
 

@@ -11,12 +11,15 @@ bitwise, what a loop calling ``fn`` on one F at a time would give, as long
 as ``fn`` treats each member of a stack as it would treat it alone.
 
 The eigensolver takes one n x n matrix or a stack (B..., n, n) of them,
-under the same rule.  A lone matrix is rotated as nested lists of Python
-floats, one scalar at a time; its values and vectors equal, bitwise, those
-of the same cyclic Jacobi loop rotating whole numpy rows and columns.  A
-stack runs one such loop for all its members at once, each rotation
-acting on the rows and columns of every member still sweeping, and each
-member's result equals, bitwise, the lone call on that matrix.
+under the same rule.  One function body checks, scales, symmetrizes,
+sorts and signs every input as a stack of m members; only its rotation
+sweep depends on the input's shape.  A lone matrix is rotated as nested
+lists of Python floats, one scalar at a time, and a stack sweeps all its
+members at once, each rotation acting on the rows and columns of every
+member still sweeping.  Both sweeps give each entry the IEEE operations of
+the same cyclic Jacobi loop rotating one matrix's whole numpy rows and
+columns, so a member's result equals, bitwise, the lone call on that
+matrix.
 """
 
 import math
@@ -43,15 +46,19 @@ class Spectrum6:
 
 
 def _validated(f, h):
-    """f's row-major flattening (B..., 6) and h as a float; a bool h is not a
+    """f's row-major flattening (B..., 6) and h as a float.  h follows the
+    package's number rule: a string is a TypeError, and a bool is not a
     number."""
     f = np.asarray(f, dtype=float)
     if f.shape[-2:] != (3, 2):
         raise ValueError(f"f must be 3x2 or a stack of 3x2, got shape {f.shape}")
-    step = float(h)
-    if not (np.isfinite(step) and step > 0.0) or isinstance(h, (bool, np.bool_)):
+    try:
+        ok = math.isfinite(h) and h > 0.0
+    except OverflowError:  # an int that no float holds
+        ok = False
+    if not ok or isinstance(h, (bool, np.bool_)):
         raise ValueError(f"h must be finite and > 0, got {h}")
-    return f.reshape(f.shape[:-2] + (6,)), step
+    return f.reshape(f.shape[:-2] + (6,)), float(h)
 
 
 def _values(fn, x):
@@ -91,6 +98,8 @@ def fd_gradient(fn, f, h=1e-5):
     ValueError
         If f is not 3x2 or a stack of 3x2, h is not finite and > 0 (or is
         a bool), or fn does not return exactly one value per perturbed F.
+    TypeError
+        If h is not a real number (a string, say).
     """
     flat, h = _validated(f, h)
     plus, minus = np.split(_values(fn, _axis_steps(flat, h)), 2, axis=-1)
@@ -116,6 +125,8 @@ def fd_hessian6(fn, f, h=1e-4):
     ValueError
         If f is not 3x2 or a stack of 3x2, h is not finite and > 0 (or is
         a bool), or fn does not return exactly one value per perturbed F.
+    TypeError
+        If h is not a real number (a string, say).
     """
     flat, h = _validated(f, h)
     batch = flat.shape[:-1]
@@ -140,10 +151,20 @@ def fd_hessian6(fn, f, h=1e-4):
 
 def _asymmetric(a):
     """Where a matrix, or each member of a (B..., n, n) stack, is not
-    symmetric to 1e-10: max|a - a^T| > 1e-10.  The oracle's one symmetry
-    rule; a member with a non-finite entry does not count here."""
+    symmetric: max|a - a^T| > 1e-10 max(1, max|a|).  The oracle's one
+    symmetry rule; a member with a non-finite entry does not count here."""
+    big = np.maximum(1.0, np.abs(a).max(axis=(-2, -1)))
     with np.errstate(invalid="ignore"):  # inf - inf
-        return np.max(np.abs(a - np.swapaxes(a, -1, -2)), axis=(-2, -1)) > 1e-10
+        return np.abs(a - np.swapaxes(a, -1, -2)).max(axis=(-2, -1)) > 1e-10 * big
+
+
+def _refuse(bad, shape, error, what):
+    """Raise ``error`` if ``bad`` holds for some member of an input of
+    ``shape``, naming a lone matrix as such and a stack's first such member
+    by its flat index."""
+    if bad.any():
+        who = "matrix" if len(shape) == 2 else f"member {np.flatnonzero(bad)[0]}"
+        raise error(f"{who} {what}")
 
 
 def jacobi_eigen_sym(a):
@@ -155,15 +176,15 @@ def jacobi_eigen_sym(a):
     made positive so the output is deterministic.
 
     ``a`` is one n x n matrix or a (B..., n, n) stack of them, giving
-    (B..., n) values and (B..., n, n) vectors.  A lone matrix's rotations
-    run on nested lists of Python floats, one scalar at a time: each entry
-    gets the same IEEE operations, in the same order, as a numpy loop
-    rotating whole rows and columns would give it, so the results equal
-    that loop's bitwise.  The stop test and the final sort run in numpy.
-    The loop runs on a copy scaled by a power of two near 1 / max|a|, and
-    the values are scaled back, so it holds for entries of any magnitude.
-    A stack runs that numpy loop on all its members at once (see
-    ``_jacobi_stack``), so each member equals its lone call bitwise.
+    (B..., n) values and (B..., n, n) vectors.  One body treats every input
+    as an (m, n, n) stack: it checks the members, rotates a copy of each
+    scaled by a power of two near 1 / max|a| (so the loop holds for entries
+    of any magnitude, and the values are scaled back), and sorts and signs
+    the results.  Only the rotation sweep depends on the input's shape: a
+    lone matrix runs ``_sweep_floats`` and a stack ``_sweep_stack``.  Both
+    give each entry the same IEEE operations, in the same order, as a numpy
+    loop rotating one matrix's whole rows and columns, so every member
+    equals, bitwise, the lone call on that matrix.
 
     Raises
     ------
@@ -172,42 +193,65 @@ def jacobi_eigen_sym(a):
         non-finite entry; for a stack, the message names the first such
         member by its flat index.
     NotSymmetric
-        If max|a - a^T| > 1e-10, for a stack in some member; the message
-        names the first.
+        If max|a - a^T| > 1e-10 max(1, max|a|), for a stack in some
+        member; the message names the first.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] == 0:
         raise ValueError(
             f"expected a square matrix or a stack of them, got shape {a.shape}"
         )
-    if a.ndim > 2:
-        return _jacobi_stack(a)
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix has non-finite entries")
-    n = a.shape[0]
-    if _asymmetric(a):
-        raise NotSymmetric("matrix is not symmetric to 1e-10")
+    shape, n = a.shape, a.shape[-1]
+    a = a.reshape((-1, n, n))
+    bad = ~np.isfinite(a).all(axis=(1, 2))
+    _refuse(bad, shape, ValueError, "has non-finite entries")
+    _refuse(_asymmetric(a), shape, NotSymmetric, "is not symmetric to a relative 1e-10")
 
     # Rotate a / 2^e, 2^e ~ max|a|: the scaling is exact, neither a + a^T
     # nor the norms that square entries overflow or underflow, and the
-    # 1e-300 skip is relative to max|a|.  The values are scaled back at the
-    # end.
-    e = int(np.frexp(np.max(np.abs(a)))[1])
-    a = np.ldexp(a, -e)
-    a = 0.5 * (a + a.T)
-    norm = np.linalg.norm(a)
-    if norm == 0.0:
-        return Spectrum6(values=np.zeros(n), vectors=np.eye(n))
-    a = a.tolist()
-    v = np.eye(n).tolist()
+    # 1e-300 skip is relative to max|a|.
+    e = np.frexp(np.abs(a).max(axis=(1, 2)))[1]
+    a = np.ldexp(a, -e[:, None, None])
+    a = 0.5 * (a + np.swapaxes(a, 1, 2))
+    norm = _frobenius(a)
+    a[norm == 0.0] = 0.0  # a zero matrix gives +0.0 values and the identity
+    # [a; v] of each member, (m, 2n, n): one column rotation updates both.
+    full = np.concatenate((a, np.eye(n)[None].repeat(len(a), 0)), axis=1)
+    (_sweep_floats if len(shape) == 2 else _sweep_stack)(full, norm)
 
-    def off(m):
-        o = np.array(m)
-        np.fill_diagonal(o, 0.0)
-        return np.linalg.norm(o)
+    diag, member = np.arange(n), np.arange(len(a))[:, None]
+    values = np.ldexp(full[:, diag, diag], e[:, None])
+    order = np.argsort(values, axis=1, kind="stable")
+    # Row k of each member's vectors here is its eigenvector k.
+    vectors = np.swapaxes(full[:, n:], 1, 2)[member, order]
+    lead = np.argmax(np.abs(vectors), axis=2)
+    vectors = np.where(vectors[member, diag, lead, None] < 0.0, -vectors, vectors)
+    return Spectrum6(
+        values=values[member, order].reshape(shape[:-1]),
+        vectors=np.swapaxes(vectors, 1, 2).reshape(shape),
+    )
 
+
+def _frobenius(x):
+    """The Frobenius norm of each matrix of a (k, r, c) stack, as one dot
+    product of its row-major entries: bitwise np.linalg.norm of that
+    matrix alone, which a norm over two axes is not."""
+    flat = x.reshape(len(x), x.shape[1] * x.shape[2])
+    return np.sqrt(flat[:, None, :] @ flat[:, :, None]).reshape(-1)
+
+
+def _sweep_floats(full, norm):
+    """Rotate the one member [a; v] of ``full`` (1, 2n, n) in place, as
+    nested lists of Python floats, one scalar at a time.  Each entry gets
+    the IEEE operations of the numpy loop; v's columns turn with a's,
+    which gives the same bits, since v's update never reads a's rows."""
+    n = full.shape[2]
+    w = full[0].tolist()
+    a = w[:n]  # a's rows, shared with w
     for _ in range(_MAX_SWEEPS):
-        if off(a) <= 1e-14 * norm:
+        off = np.array(a)
+        np.fill_diagonal(off, 0.0)
+        if np.linalg.norm(off) <= 1e-14 * norm[0]:
             break
         for p in range(n - 1):
             for q in range(p + 1, n):
@@ -223,8 +267,8 @@ def jacobi_eigen_sym(a):
                     t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
                 c = 1.0 / math.sqrt(1.0 + t * t)
                 s = t * c
-                # Columns p and q, then rows p and q, then v's columns.
-                for row in a:
+                # Columns p and q of a and v, then rows p and q of a.
+                for row in w:
                     rp, rq = row[p], row[q]
                     row[p] = c * rp - s * rq
                     row[q] = s * rp + c * rq
@@ -232,28 +276,7 @@ def jacobi_eigen_sym(a):
                     rp, rq = row_p[k], row_q[k]
                     row_p[k] = c * rp - s * rq
                     row_q[k] = s * rp + c * rq
-                for row in v:
-                    rp, rq = row[p], row[q]
-                    row[p] = c * rp - s * rq
-                    row[q] = s * rp + c * rq
-
-    values = np.ldexp(np.diag(np.array(a)), e)
-    order = np.argsort(values, kind="stable")
-    values = values[order]
-    vectors = np.array(v)[:, order]
-    for k in range(n):
-        lead = np.argmax(np.abs(vectors[:, k]))
-        if vectors[lead, k] < 0.0:
-            vectors[:, k] = -vectors[:, k]
-    return Spectrum6(values=values, vectors=vectors)
-
-
-def _frobenius(x):
-    """The Frobenius norm of each matrix of a (k, r, c) stack, as one dot
-    product of its row-major entries: bitwise np.linalg.norm of that
-    matrix alone, which a norm over two axes is not."""
-    flat = x.reshape(len(x), x.shape[1] * x.shape[2])
-    return np.sqrt(flat[:, None, :] @ flat[:, :, None]).reshape(-1)
+    full[0] = w
 
 
 def _rotate(x, y, c, s, skip):
@@ -268,37 +291,20 @@ def _rotate(x, y, c, s, skip):
     y[...] = new_y
 
 
-def _jacobi_stack(a):
-    """jacobi_eigen_sym on a (B..., n, n) stack.
+def _sweep_stack(full, norm):
+    """Rotate the members [a; v] of ``full`` (m, 2n, n) in place, all at
+    once on numpy rows and columns.
 
-    Each member is scaled, symmetrized and tested as a lone matrix is.
-    The members then sweep together: each rotation (p, q) runs once on
-    rows and columns holding every sweeping member, with that member's own
-    c and s, and leaves unchanged the members whose a_pq it skips.  A
-    member leaves at the first sweep whose stop test it meets, and a zero
-    matrix never enters.  The member axis is last, and each member's a
-    sits over its v, so one column rotation updates both.
+    Each rotation (p, q) runs once on rows and columns holding every
+    sweeping member, with that member's own c and s, and leaves unchanged
+    the members whose a_pq it skips.  A member leaves at the first sweep
+    whose stop test it meets, and a zero matrix never enters.  The member
+    axis is last.
     """
-    batch, n = a.shape[:-2], a.shape[-1]
-    a = a.reshape((-1, n, n))
-    bad = ~np.all(np.isfinite(a), axis=(1, 2))
-    if bad.any():
-        raise ValueError(f"member {np.flatnonzero(bad)[0]} has non-finite entries")
-    bad = _asymmetric(a)
-    if bad.any():
-        raise NotSymmetric(
-            f"member {np.flatnonzero(bad)[0]} is not symmetric to 1e-10"
-        )
-
-    e = np.frexp(np.max(np.abs(a), axis=(1, 2)))[1]
-    a = np.ldexp(a, -e[:, None, None])
-    a = 0.5 * (a + np.swapaxes(a, 1, 2))
-    norm = _frobenius(a)
-    a[norm == 0.0] = 0.0  # a zero matrix gives +0.0 values, as alone
-    # [a; v] of every member, (2n, n, m), and w, that of the members still
-    # sweeping; take and compress keep w C-contiguous.
-    full = np.concatenate((a, np.broadcast_to(np.eye(n), a.shape)), axis=1)
+    n = full.shape[2]
     full = full.transpose(1, 2, 0)
+    # w holds the members still sweeping; take and compress keep it
+    # C-contiguous.
     live = np.flatnonzero(norm != 0.0)
     w, limit = full.take(live, axis=2), 1e-14 * norm[live]
     diag = np.arange(n)
@@ -332,14 +338,3 @@ def _jacobi_stack(a):
                     _rotate(w[:, p], w[:, q], c, s, skip)
                     _rotate(w[p], w[q], c, s, skip)
         full[..., live] = w
-
-    values = np.ldexp(full[diag, diag].T, e[:, None])
-    order = np.argsort(values, axis=1, kind="stable")
-    values = np.take_along_axis(values, order, axis=1)
-    vectors = np.take_along_axis(full[n:].transpose(2, 0, 1), order[:, None], axis=2)
-    lead = np.argmax(np.abs(vectors), axis=1)[:, None]
-    flip = np.take_along_axis(vectors, lead, axis=1) < 0.0
-    vectors = np.where(flip, -vectors, vectors)
-    return Spectrum6(
-        values=values.reshape(batch + (n,)), vectors=vectors.reshape(batch + (n, n))
-    )

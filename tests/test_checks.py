@@ -253,7 +253,8 @@ def test_the_stack_test_covers_every_sampled_check():
 
 # An admissible F (entries in (-2, 2), I3 = 0.0526) whose projected sheet
 # Hessian has entries near 1e6, so that dense6's roundoff asymmetry, 4.7e-10,
-# is above the Jacobi oracle's absolute 1e-10 guard.
+# is above an absolute 1e-10 symmetry rule, but only 1.9e-16 relative to
+# max|a|.
 _ASYMMETRIC_DENSE6_F = [
     [1.680044931541751, -1.4733002159454753],
     [-1.8706678432066626, 1.6392316168383967],
@@ -261,10 +262,34 @@ _ASYMMETRIC_DENSE6_F = [
 ]
 
 
-def test_psd_projection_reports_an_oracle_rejection_instead_of_raising():
+def _skewed(dense):
+    """dense (..., 6, 6) with one off-diagonal entry of each matrix raised by
+    1e-8 max|a|: asymmetric to the oracle's relative 1e-10 rule."""
+    dense = dense.copy()
+    dense[..., 0, 1] += 1e-8 * np.max(np.abs(dense), axis=(-2, -1))
+    return dense
+
+
+def test_psd_projection_passes_at_a_roundoff_asymmetry():
+    # The symmetry rule is relative, in the oracle and in the check alike.
+    f = np.array([_ASYMMETRIC_DENSE6_F])
+    s = me.svd32(f)
+    dense = me.project_psd(me.energy_eigensystem(checks._SHEET, s)).dense6()
+    assert np.max(np.abs(dense - np.swapaxes(dense, 1, 2))) > 1e-10
+    spec = me.jacobi_eigen_sym(dense[0])
+    assert np.all(np.isfinite(spec.values)) and np.all(np.isfinite(spec.vectors))
+    check = checks._check_psd_projection.__wrapped__
+    errors = np.column_stack(check(np.random.default_rng(0), f, s))
+    r = checks._report("psd_projection", 1, 1e-10, errors, f)
+    assert r.passed and r.max_error <= 1e-10
+
+
+def test_psd_projection_reports_an_oracle_rejection_instead_of_raising(monkeypatch):
     f = np.array([_ASYMMETRIC_DENSE6_F])
     s = me.svd32(f)
     assert me.invariants(s).i3[0] > 0.05
+    dense6 = me.EigenSystem6.dense6
+    monkeypatch.setattr(me.EigenSystem6, "dense6", lambda e: _skewed(dense6(e)))
     proj = me.project_psd(me.energy_eigensystem(checks._SHEET, s))
     with pytest.raises(me.NotSymmetric):
         me.jacobi_eigen_sym(proj.dense6()[0])
@@ -283,6 +308,7 @@ def test_jacobi_gives_a_nan_row_only_to_the_rejected_member(monkeypatch):
     good, _ = checks.random_f_admissible(np.random.default_rng(9), 4)
     f = np.insert(good, 2, _ASYMMETRIC_DENSE6_F, axis=0)
     dense = me.project_psd(me.energy_eigensystem(checks._SHEET, me.svd32(f))).dense6()
+    dense[2] = _skewed(dense[2])
     calls = []
     oracle = checks.orc_mod.jacobi_eigen_sym
     monkeypatch.setattr(

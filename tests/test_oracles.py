@@ -165,10 +165,19 @@ def test_oracles_reject_a_non_3x2_f(oracle):
 
 
 @pytest.mark.parametrize("oracle", [fd_gradient, fd_hessian6])
-@pytest.mark.parametrize("h", [0.0, -1e-5, np.nan, np.inf, True, np.True_])
+@pytest.mark.parametrize(
+    "h", [0.0, -1e-5, np.nan, np.inf, True, np.True_, pytest.param(10**400, id="10**400")]
+)
 def test_oracles_reject_a_bad_step(oracle, h):
     with pytest.raises(ValueError, match="h must be"):
         oracle(quartic, F0, h=h)
+
+
+@pytest.mark.parametrize("oracle", [fd_gradient, fd_hessian6])
+def test_oracles_reject_a_string_step(oracle):
+    # The number rule of mu and tol: a string is not a number.
+    with pytest.raises(TypeError):
+        oracle(quartic, F0, h="1e-5")
 
 
 @pytest.mark.parametrize("oracle", [fd_gradient, fd_hessian6])
@@ -318,10 +327,19 @@ def _numpy_jacobi(a):
 
 
 def _assert_jacobi_matches_numpy_loop(a):
+    # A lone matrix, or each member of a stack, equals bit for bit the
+    # reference on that matrix and the lone call on it (which runs the
+    # other rotation sweep), and the result gains the stack's leading axes.
     spec = jacobi_eigen_sym(a)
-    values, vectors = _numpy_jacobi(a)
-    assert np.array_equal(spec.values, values)
-    assert np.array_equal(spec.vectors, vectors)
+    n = a.shape[-1]
+    assert spec.values.shape == a.shape[:-1]
+    assert spec.vectors.shape == a.shape
+    values, vectors = spec.values.reshape(-1, n), spec.vectors.reshape(-1, n, n)
+    for k, member in enumerate(a.reshape(-1, n, n)):
+        lone = jacobi_eigen_sym(member)
+        for ref in (_numpy_jacobi(member), (lone.values, lone.vectors)):
+            assert values[k].tobytes() == ref[0].tobytes()
+            assert vectors[k].tobytes() == ref[1].tobytes()
 
 
 def _symmetric(rng, n, scale=1.0):
@@ -382,35 +400,24 @@ def test_jacobi_spectrum_at_extreme_scales(scale):
     assert np.allclose(spec.values / scale, [-1.0, 3.0], rtol=1e-14, atol=0.0)
 
 
-def _assert_stack_matches_lone_calls(stack):
-    # Each member equals, bit for bit, the lone call on that matrix, and
-    # the result gains the stack's leading axes.
-    spec = jacobi_eigen_sym(stack)
-    n = stack.shape[-1]
-    assert spec.values.shape == stack.shape[:-1]
-    assert spec.vectors.shape == stack.shape
-    values, vectors = spec.values.reshape(-1, n), spec.vectors.reshape(-1, n, n)
-    for k, a in enumerate(stack.reshape(-1, n, n)):
-        lone = jacobi_eigen_sym(a)
-        assert values[k].tobytes() == lone.values.tobytes()
-        assert vectors[k].tobytes() == lone.vectors.tobytes()
-
-
 @pytest.mark.parametrize("n", [2, 6])
 def test_jacobi_stack_equals_lone_calls_on_random_matrices(n):
     rng = np.random.default_rng(41 + n)
     for size in (1, 2, 20):
         stack = np.array([_symmetric(rng, n) for _ in range(size)])
-        _assert_stack_matches_lone_calls(stack)
+        _assert_jacobi_matches_numpy_loop(stack)
 
 
 def test_jacobi_stack_equals_lone_calls_on_sheet_hessians():
     rng = np.random.default_rng(43)
     fs, s = random_f_admissible(rng, 12)
-    _assert_stack_matches_lone_calls(project_psd(sheet_eigensystem(1.3, s)).dense6())
-    _assert_stack_matches_lone_calls(fd_hessian6(_sheet_psi, fs))
     grid = fs[:6].reshape(2, 3, 3, 2)
-    _assert_stack_matches_lone_calls(fd_hessian6(_sheet_psi, grid))
+    for stack in (
+        project_psd(sheet_eigensystem(1.3, s)).dense6(),
+        fd_hessian6(_sheet_psi, fs),
+        fd_hessian6(_sheet_psi, grid),
+    ):
+        _assert_jacobi_matches_numpy_loop(stack)
 
 
 def test_jacobi_stack_equals_lone_calls_on_mixed_members():
@@ -429,5 +436,5 @@ def test_jacobi_stack_equals_lone_calls_on_mixed_members():
         _symmetric(rng, 6),
         _symmetric(rng, 6, scale=1e200),
     ]
-    _assert_stack_matches_lone_calls(np.array(members))
-    _assert_stack_matches_lone_calls(np.array(members).reshape(2, 4, 6, 6))
+    for stack in (np.array(members), np.array(members).reshape(2, 4, 6, 6)):
+        _assert_jacobi_matches_numpy_loop(stack)
