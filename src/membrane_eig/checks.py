@@ -495,9 +495,17 @@ def _check_psd_projection(rng, f, s):
 # ----------------------------------------------------------------- FEM checks
 
 
-def _random_patch(rng, gravity=None):
+@functools.cache
+def _patch_grid():
+    """The 2x2 grid every random patch deforms, read-only, and its pin-free
+    problem, which gives a candidate's deformation gradients."""
     rest, tris = mesh_mod.grid_mesh(2, 2)
-    free = fem_mod.make_problem(rest, tris, _SHEET)
+    rest.flags.writeable = tris.flags.writeable = False
+    return rest, tris, fem_mod.make_problem(rest, tris, _SHEET)
+
+
+def _random_patch(rng, gravity=None):
+    rest, tris, free = _patch_grid()
     while True:
         x = rest.copy()
         x[:, 0] *= rng.uniform(0.85, 1.35)

@@ -49,7 +49,6 @@ and scipy.sparse.linalg load at the first ``assemble`` or
 stay bound as those module globals.
 """
 
-import math
 from dataclasses import dataclass, field
 from numbers import Integral
 from typing import NamedTuple
@@ -59,7 +58,7 @@ import numpy as np
 from .invariants import Invariants, _pack, _slot_coeffs
 from .models import DomainError, _principal_stresses, _rotated_eigensystem
 from .models import energy_eigensystem
-from .svd import svd32
+from .svd import _require_finite, svd32
 
 __all__ = [
     "make_problem",
@@ -237,12 +236,7 @@ class NewtonConfig:
     def __post_init__(self):
         # No gradient meets a NaN tol, every one meets an infinite tol, and
         # tol = 0 ends at the roundoff floor.
-        try:
-            ok = math.isfinite(self.tol) and self.tol >= 0.0
-        except OverflowError:  # an int that no float holds
-            ok = False
-        if not ok or isinstance(self.tol, (bool, np.bool_)):
-            raise ValueError(f"tol must be finite and >= 0, got {self.tol}")
+        _require_finite("tol", self.tol, zero_ok=True)
         _require_int("max_iters", self.max_iters, 0)
 
 

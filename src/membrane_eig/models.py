@@ -44,7 +44,6 @@ gamma = sqrt(16 I3^2 + beta^2), beta = 3 (s2^2 - s1^2), and eigenvectors
 smaller.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,7 +58,7 @@ from .invariants import (
     invariant_hvp,
     invariants,
 )
-from .svd import _first_member
+from .svd import _first_member, _require_finite
 
 __all__ = [
     "NeoHookeanSheet",
@@ -86,17 +85,6 @@ class DomainError(ValueError):
     def __init__(self, message, element=None):
         self.element = element
         super().__init__(message)
-
-
-def _check_mu(mu):
-    """Raise ValueError unless the stiffness ``mu`` is finite and > 0 (a
-    bool is not a number)."""
-    try:
-        ok = math.isfinite(mu) and mu > 0.0
-    except OverflowError:  # an int that no float holds
-        ok = False
-    if not ok or isinstance(mu, (bool, np.bool_)):
-        raise ValueError(f"mu must be finite and > 0, got {mu}")
 
 
 def _check_floor(i3):
@@ -153,7 +141,7 @@ class NeoHookeanSheet:
     mu: float
 
     def __post_init__(self):
-        _check_mu(self.mu)
+        _require_finite("mu", self.mu)
 
     def derivs(self, inv):
         _check_floor(inv.i3)
@@ -297,7 +285,7 @@ def sheet_eigensystem(mu, svd):
     ``svd`` may be a stack of decompositions.  Raises ValueError unless
     ``mu`` is finite and > 0, and DomainError below I3_FLOOR.
     """
-    _check_mu(mu)
+    _require_finite("mu", mu)
     s1, s2 = svd.sigma
     i3 = s1 * s2
     _check_floor(i3)

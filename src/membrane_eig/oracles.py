@@ -1,6 +1,7 @@
 """Independent numerical oracles: finite differences and a dense symmetric
 eigensolver.  Everything here is deliberately decoupled from the closed
-forms it is used to check.
+forms it is used to check; the one thing shared with them is the number
+rule that checks a finite-difference step, and no arithmetic.
 
 The finite-difference oracles take one 3x2 F or a stack (B..., 3, 2) of
 them, under the kernels' shape rule: the result gains the stack's leading
@@ -27,6 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .svd import _require_finite
+
 __all__ = ["fd_gradient", "fd_hessian6", "jacobi_eigen_sym", "NotSymmetric"]
 
 
@@ -47,17 +50,12 @@ class Spectrum6:
 
 def _validated(f, h):
     """f's row-major flattening (B..., 6) and h as a float.  h follows the
-    package's number rule: a string is a TypeError, and a bool is not a
-    number."""
+    package's number rule (``svd._require_finite``): a string is a
+    TypeError, and a bool is not a number."""
     f = np.asarray(f, dtype=float)
     if f.shape[-2:] != (3, 2):
         raise ValueError(f"f must be 3x2 or a stack of 3x2, got shape {f.shape}")
-    try:
-        ok = math.isfinite(h) and h > 0.0
-    except OverflowError:  # an int that no float holds
-        ok = False
-    if not ok or isinstance(h, (bool, np.bool_)):
-        raise ValueError(f"h must be finite and > 0, got {h}")
+    _require_finite("h", h)
     return f.reshape(f.shape[:-2] + (6,)), float(h)
 
 
@@ -324,8 +322,6 @@ def _sweep_stack(full, norm):
                     apq = w[p, q]
                     skip = np.abs(apq) <= 1e-300
                     if skip.any():
-                        if skip.all():
-                            continue
                         apq = np.where(skip, 1.0, apq)  # no 0 / 0 where unused
                     else:
                         skip = None

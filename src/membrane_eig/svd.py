@@ -51,6 +51,7 @@ stack takes matrices (B..., 3, 2).  One decomposition takes k of them as
 carry a trailing batch axis of length 1, (B..., 1).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,6 +90,20 @@ def _first_member(bad, values):
         return tuple(values), None
     k = int(np.flatnonzero(bad)[0])
     return tuple(float(np.ravel(x)[k]) for x in values), k
+
+
+def _require_finite(name, value, zero_ok=False):
+    """Raise ValueError unless ``value`` is a finite number > 0 (>= 0 when
+    ``zero_ok``).  The package's one number rule for ``mu``, ``tol`` and
+    ``h``: a bool is not a number, an int that no float holds is not
+    finite, and a string raises TypeError."""
+    try:
+        ok = math.isfinite(value) and (value >= 0.0 if zero_ok else value > 0.0)
+    except OverflowError:  # an int that no float holds
+        ok = False
+    if not ok or isinstance(value, (bool, np.bool_)):
+        bound = ">=" if zero_ok else ">"
+        raise ValueError(f"{name} must be finite and {bound} 0, got {value}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -153,6 +153,30 @@ def test_solve_scene_cli(capsys, stretch_scene):
     assert lines[4].startswith("output: ")
 
 
+def write_collinear_pin_scene(directory):
+    # A sound rest triangle whose three pins put it on a line, so the pinned
+    # start is inadmissible and the solver, not the loader, refuses it.
+    (directory / "tri.obj").write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n")
+    targets = ([0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0])
+    scene = {
+        "mesh": "tri.obj",
+        "model": {"type": "neo_hookean_sheet", "mu": 1.0},
+        "pins": [{"vertex": v, "target": t} for v, t in enumerate(targets)],
+        "output_dir": "out",
+    }
+    path = directory / "collinear.json"
+    path.write_text(json.dumps(scene))
+    return path
+
+
+def test_solve_solver_error_exit_one(capsys, tmp_path):
+    scene = write_collinear_pin_scene(tmp_path)
+    code, out, err = run_cli(capsys, "solve", "--scene", str(scene))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("solver error: initial configuration is inadmissible")
+
+
 def test_solve_missing_scene(capsys, tmp_path):
     code, out, err = run_cli(capsys, "solve", "--scene", str(tmp_path / "no.json"))
     assert code == 2

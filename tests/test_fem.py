@@ -662,6 +662,54 @@ def test_newton_recovers_from_near_floor_start():
     assert report.history[-1][1] < me.total_energy(problem, squashed)
 
 
+def stretch_patch():
+    # A 4x4 grid with its left and right columns pinned at 1.5x: from flat
+    # rest its first Newton step is a full one.
+    rest, tris = me.grid_mesh(4, 4)
+    pins = {}
+    for j in range(5):
+        for i in (0, 4):
+            v = i + j * 5
+            pins[v] = [1.5 * rest[v][0] - 0.25, rest[v][1], 0.0]
+    return me.make_problem(rest, tris, me.NeoHookeanSheet(1.0), pins=pins), rest
+
+
+def test_line_search_rejects_an_inadmissible_trial(monkeypatch):
+    problem, rest = stretch_patch()
+    _, report = me.newton_solve(problem, rest)
+    assert report.history[1].step == 1.0
+    energy, calls = fem.total_energy, []
+
+    def first_trial_inadmissible(problem, x):
+        calls.append(x)
+        if len(calls) == 1:
+            raise me.DomainError("element 0: I3 below the sheet floor", element=0)
+        return energy(problem, x)
+
+    monkeypatch.setattr(fem, "total_energy", first_trial_inadmissible)
+    _, report = me.newton_solve(problem, rest)
+    assert report.history[1].step == 0.5
+    assert report.termination == "converged"
+
+
+def test_line_search_fails_after_thirty_halvings(monkeypatch):
+    problem, rest = stretch_patch()
+    start = me.total_energy(problem, problem.apply_pins(rest))
+    trials = []
+
+    def uphill(problem, x):
+        trials.append(x)
+        return start + 1.0
+
+    monkeypatch.setattr(fem, "total_energy", uphill)
+    with pytest.raises(me.LineSearchFailed) as exc:
+        me.newton_solve(problem, rest)
+    assert str(exc.value) == (
+        "no admissible decreasing step after 30 halvings at iteration 0"
+    )
+    assert len(trials) == 31
+
+
 def test_linear_solve_failure_surfaces(monkeypatch):
     rest, tris = five_triangle_patch()
     x = rest * np.array([1.2, 0.9, 1.0])

@@ -420,6 +420,17 @@ def test_jacobi_stack_equals_lone_calls_on_sheet_hessians():
         _assert_jacobi_matches_numpy_loop(stack)
 
 
+def test_jacobi_stack_equals_lone_calls_when_every_member_skips_a_pair():
+    # a_01 is exactly 0.0 in every member, so the first rotation of the
+    # first sweep skips all of them at once: each must come through it
+    # unchanged, and the masked rotation must form no warning.
+    rng = np.random.default_rng(45)
+    for n in (3, 6):
+        stack = np.array([_symmetric(rng, n) for _ in range(4)])
+        stack[:, 0, 1] = stack[:, 1, 0] = 0.0
+        _assert_jacobi_matches_numpy_loop(stack)
+
+
 def test_jacobi_stack_equals_lone_calls_on_mixed_members():
     # Members that leave the sweep at different times or never enter it,
     # skip different pairs, or sit at extreme scales, side by side.
