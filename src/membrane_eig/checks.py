@@ -7,8 +7,9 @@ counterexample, never raised.
 Every F sample comes from one drawer, ``_draw(rng, n, accept)``.  In
 each round it draws the n - got raw Fs still missing (entries uniform in
 (-2, 2)) as one stack, decomposes it with one ``svd32`` call for
-``accept``, and keeps, in draw order, the Fs that pass, until it has n.
-It returns the (n, 3, 2) stack f and svd32(f), which, with the
+``accept``, and keeps, in draw order, the Fs that pass with their
+decompositions, until it has n: one ``svd32`` call per round and none
+after.  It returns the (n, 3, 2) stack f and svd32(f), which, with the
 generator's final state, equal bitwise what n single draws would give.
 The floors are such conditions: sigma2 > 0.05 for nondegeneracy, also
 sigma1 - sigma2 > 0.05 where SVD rates must exist, and I3 > 0.05 for
@@ -25,17 +26,19 @@ one call for all n trials in trial order, calls each FD oracle once per
 function on the whole ensemble and the Jacobi oracle once on the stack of
 all its matrices, and returns a list of (n,) or (n, k) error arrays, row t
 holding trial t's errors.  A check without a sampler is called n times as
-``check(rng)``, each call returning one error or a list.  The report keeps
-the largest error, a NaN counting as the largest and the first trial
-winning ties, and fails when it exceeds ``tol``; it carries that trial's
-sample as its counterexample where there is one.  Kernels are looked up
-through their modules at call time, so a patched kernel is the one
-checked.
+``check(rng)``, each call returning one error or a list; the FEM gradient
+check evaluates all its perturbed states in one stacked ``total_energy``
+call.  The report keeps the largest error, a NaN counting as the largest
+and the first trial winning ties, and fails when it exceeds ``tol``; it
+carries that trial's sample as its counterexample where there is one.
+Kernels are looked up through their modules at call time, so a patched
+kernel is the one checked.
 
 ``run_bench`` times the sheet's closed-form spectrum against the FD +
 Jacobi oracle route on the checks' sheet and admissible sampler.
 """
 
+import contextlib
 import dataclasses
 import functools
 import math
@@ -138,15 +141,19 @@ def _draw(rng, n, accept=None):
     them in draw order and svd32(f).
 
     Each round draws the n - got candidates still missing as one stack,
-    and ``accept`` maps the stack's decomposition to a mask.
+    decomposes it with one ``svd32`` call, and keeps the candidates, and
+    their decompositions, where ``accept`` maps that decomposition to True
+    (all of them without ``accept``).
     """
     kept, got = [], 0
     while got < n:
         f = random_f(rng, n - got)
-        kept.append(f if accept is None else f[accept(svd_mod.svd32(f))])
-        got += len(kept[-1])
-    f = np.concatenate(kept)
-    return f, svd_mod.svd32(f)
+        s = svd_mod.svd32(f)
+        keep = slice(None) if accept is None else accept(s)
+        kept.append([x[keep] for x in (f, s.u, *s.sigma, s.v)])
+        got += len(kept[-1][0])
+    f, u, s1, s2, v = map(np.concatenate, zip(*kept))
+    return f, svd_mod.Svd32(u=u, sigma=(s1, s2), v=v)
 
 
 def random_f_nondegenerate(rng, n):
@@ -177,12 +184,21 @@ def _unit_fdot(rng, n):
 def _jacobi(stack):
     """The Jacobi oracle on a (B..., m, m) stack of symmetric matrices, in
     one call: its (B..., m) eigenvalues and (B..., m, m) eigenvectors.
-    Both are NaN for a matrix the oracle rejects as asymmetric, so that
-    trial fails with its witness instead of raising out of run_checks."""
+    Both are NaN for a matrix the oracle rejects as asymmetric or leaves
+    unconverged, so that trial fails with its witness instead of raising
+    out of run_checks.  Only when some matrix is unconverged does the
+    oracle then run once on each matrix alone, which gives the same bits."""
     values, vectors = np.full(stack.shape[:-1], np.nan), np.full(stack.shape, np.nan)
     kept = ~orc_mod._asymmetric(stack)
-    spec = orc_mod.jacobi_eigen_sym(stack[kept])
-    values[kept], vectors[kept] = spec.values, spec.vectors
+    try:
+        spec = orc_mod.jacobi_eigen_sym(stack[kept])
+    except orc_mod.NotConverged:
+        for k in zip(*np.nonzero(kept)):
+            with contextlib.suppress(orc_mod.NotConverged):
+                spec = orc_mod.jacobi_eigen_sym(stack[k])
+                values[k], vectors[k] = spec.values, spec.vectors
+    else:
+        values[kept], vectors[kept] = spec.values, spec.vectors
     return values, vectors
 
 
@@ -533,19 +549,15 @@ def _check_fem_gradient_fd(rng):
     h = 1e-5
     problem, x = _random_patch(rng, gravity=(0.05, -0.02, -0.1))
     _, grad, _ = fem_mod.assemble(problem, x)
-    flat = x.reshape(-1)
-    errors = []
-    for i in np.nonzero(~problem.pinned_dof_mask())[0]:
-        xp = flat.copy()
-        xm = flat.copy()
-        xp[i] += h
-        xm[i] -= h
-        fd = (
-            fem_mod.total_energy(problem, xp.reshape(-1, 3))
-            - fem_mod.total_energy(problem, xm.reshape(-1, 3))
-        ) / (2.0 * h)
-        errors.append(abs(fd - grad[i]))
-    return errors
+    free = np.flatnonzero(~problem.pinned_dof_mask())
+    # x with each free dof stepped by +h, then by -h: one stack of states.
+    steps = np.tile(x.reshape(-1), (2, len(free), 1))
+    k = np.arange(len(free))
+    steps[0, k, free] += h
+    steps[1, k, free] -= h
+    energy = fem_mod.total_energy(problem, steps.reshape(2 * len(free), -1, 3))
+    ep, em = energy.reshape(2, -1)
+    return np.abs((ep - em) / (2.0 * h) - grad[free])
 
 
 @_check(1e-6, share=100)

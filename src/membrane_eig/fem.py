@@ -40,7 +40,9 @@ d psi / dF is pad(p1, p2), the principal stresses, so the gradient is
 area (p1, p2) on rows (0, 0) and (1, 1) of R^T J, and each eigenmatrix is
 Q_i = U C_i V^T for a fixed pattern C_i, so the Hessian is
 G^T diag(area lambda) G with G = C (R^T J).  Nothing is lifted.  Both are
-summed into place with ``np.bincount``.
+summed into place with ``np.bincount``.  ``total_energy`` also takes a
+(K, N, 3) stack of states and runs the same kernels once over all K * E
+elements, each state's energy bitwise equal to its single-state call.
 
 Loading.  This module, like the package, imports numpy only: scipy.sparse
 and scipy.sparse.linalg load at the first ``assemble`` or
@@ -387,21 +389,24 @@ def make_problem(rest_positions, triangles, model, pins=None, gravity=None):
 
 
 def deformation_gradients(problem, positions):
-    """Deformation gradients of every element, (E, 3, 2)."""
+    """Deformation gradients of every element, (E, 3, 2), or (K, E, 3, 2)
+    for a (K, N, 3) stack of positions."""
     x = np.asarray(positions, dtype=float)
     t = problem.elements
-    x0 = x.take(t[:, 0], axis=0)
-    e1 = (x.take(t[:, 1], axis=0) - x0)[:, :, None]
-    e2 = (x.take(t[:, 2], axis=0) - x0)[:, :, None]
+    x0 = x.take(t[:, 0], axis=-2)
+    e1 = (x.take(t[:, 1], axis=-2) - x0)[..., None]
+    e2 = (x.take(t[:, 2], axis=-2) - x0)[..., None]
     dm = problem.dm_inv
     return e1 * dm[:, None, 0, :] + e2 * dm[:, None, 1, :]
 
 
 def _element_derivs(problem, positions):
     """F (E, 3, 2) and the model's derivatives at every element's
-    invariants.  ``total_energy`` and ``assemble`` both take their energy
-    from here, so the line search compares bitwise-consistent values."""
-    f = deformation_gradients(problem, positions)
+    invariants, or, for a (K, N, 3) stack of positions, F (K * E, 3, 2)
+    and (K * E,) derivatives.  ``total_energy`` and ``assemble`` both take
+    their energy from here, so the line search compares bitwise-consistent
+    values."""
+    f = deformation_gradients(problem, positions).reshape(-1, 3, 2)
     i2 = np.einsum("eij,eij->e", f, f)
     # |f1 x f2| written out component by component, as svd32 does, and
     # summed in the order np.einsum("ek,ek->e") takes for three terms (its
@@ -413,28 +418,42 @@ def _element_derivs(problem, positions):
 
 
 def _energy(problem, positions, psi):
-    energy = float(problem.area @ psi)
+    """The total energy of one (N, 3) state, a float, or the (K,) energies
+    of a (K, N, 3) stack of states.  Each state's two sums are dot products
+    of its own: matmul takes one dot per member of a stack of vector pairs,
+    as ``area @ psi`` takes one."""
+    area = problem.area
+    energy = (psi.reshape(-1, 1, area.size) @ area[:, None]).ravel()
     if problem.gravity.any():
-        energy -= float(positions.sum(axis=0) @ problem.gravity)
-    return energy
+        load = positions.reshape(-1, problem.n_vertices, 3).sum(axis=1)
+        energy -= (load[:, None] @ problem.gravity[:, None]).ravel()
+    return energy if positions.ndim == 3 else float(energy[0])
 
 
-def _positions(problem, positions):
+def _positions(problem, positions, stack=False):
     """``positions`` as a float array, or ValueError if it is not a finite
-    (N, 3) array for the problem's N vertices."""
+    (N, 3) array for the problem's N vertices or, where ``stack`` is true,
+    a finite (K, N, 3) stack of them."""
     positions = np.asarray(positions, dtype=float)
     n = problem.n_vertices
-    if positions.shape != (n, 3):
-        raise ValueError(f"positions must be ({n}, 3), got {positions.shape}")
+    if positions.shape[-2:] != (n, 3) or not 2 <= positions.ndim <= 2 + stack:
+        shapes = f"({n}, 3) or a stack (K, {n}, 3)" if stack else f"({n}, 3)"
+        raise ValueError(f"positions must be {shapes}, got {positions.shape}")
     if not np.all(np.isfinite(positions)):
         raise ValueError("positions have non-finite entries")
     return positions
 
 
 def total_energy(problem, positions):
-    """Total energy at given positions (no gradient or Hessian).  Raises
-    ValueError unless ``positions`` is a finite (N, 3) array."""
-    positions = _positions(problem, positions)
+    """Total energy at given positions (no gradient or Hessian): a float for
+    one (N, 3) state, or a (K,) array for a (K, N, 3) stack of K states,
+    each entry bitwise equal to the call on that state alone.  The element
+    kernels run once over all K * E elements.  Raises ValueError unless
+    ``positions`` is a finite (N, 3) array or stack of them, and the
+    model's DomainError if some state has an inadmissible element; for a
+    stack, its ``element`` is the flat index k * E + e of element e of
+    state k."""
+    positions = _positions(problem, positions, stack=True)
     _, d = _element_derivs(problem, positions)
     return _energy(problem, positions, d.psi)
 

@@ -14,15 +14,19 @@ as ``fn`` treats each member of a stack as it would treat it alone.
 The eigensolver takes one n x n matrix or a stack (B..., n, n) of them,
 under the same rule.  One function body checks, scales, symmetrizes,
 sorts and signs every input as a stack of m members; only its rotation
-sweep depends on the input's shape.  A lone matrix is rotated as nested
-lists of Python floats, one scalar at a time, and a stack sweeps all its
-members at once, each rotation acting on the rows and columns of every
-member still sweeping.  Both sweeps give each entry the IEEE operations of
-the same cyclic Jacobi loop rotating one matrix's whole numpy rows and
-columns, so a member's result equals, bitwise, the lone call on that
-matrix.
+sweep depends on the input's shape.  Both sweeps take the pairs (p, q)
+in the same round-robin order (Brent & Luk 1985): n - 1 rounds of n/2
+disjoint pairs for even n, n rounds with one index idle for odd n.  A
+round takes all its rotation angles from the matrix it starts from, then
+turns the columns of all its pairs, then their rows.  A lone matrix is
+rotated as nested lists of Python floats, one scalar at a time, and a
+stack sweeps all its members at once, each round acting in one set of
+numpy calls on the rows and columns of every member still sweeping.  Both
+give each entry the same IEEE operations, so a member's result equals,
+bitwise, the lone call on that matrix.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -30,7 +34,9 @@ import numpy as np
 
 from .svd import _require_finite
 
-__all__ = ["fd_gradient", "fd_hessian6", "jacobi_eigen_sym", "NotSymmetric"]
+__all__ = [
+    "fd_gradient", "fd_hessian6", "jacobi_eigen_sym", "NotSymmetric", "NotConverged"
+]
 
 
 _MAX_SWEEPS = 60
@@ -38,6 +44,10 @@ _MAX_SWEEPS = 60
 
 class NotSymmetric(ValueError):
     """Input matrix is not symmetric within tolerance."""
+
+
+class NotConverged(RuntimeError):
+    """A matrix is still above the stop test after the last Jacobi sweep."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,12 +176,15 @@ def _refuse(bad, shape, error, what):
 
 
 def jacobi_eigen_sym(a):
-    """Dense symmetric eigendecomposition by cyclic Jacobi rotations.
+    """Dense symmetric eigendecomposition by round-robin Jacobi rotations.
 
-    Sweeps until the off-diagonal Frobenius norm drops below 1e-14 times the
-    matrix norm, at most 60 times.  Eigenvalues are returned ascending with
-    their eigenvector columns; each vector's largest-magnitude component is
-    made positive so the output is deterministic.
+    Each sweep visits every pair p < q once, in rounds of disjoint pairs
+    (``_rounds``): a round takes all its angles from the matrix it starts
+    from, then rotates the columns of all its pairs, then their rows.  It
+    sweeps until the off-diagonal Frobenius norm drops below 1e-14 times
+    the matrix norm, at most 60 times.  Eigenvalues are returned ascending
+    with their eigenvector columns; each vector's largest-magnitude
+    component is made positive so the output is deterministic.
 
     ``a`` is one n x n matrix or a (B..., n, n) stack of them, giving
     (B..., n) values and (B..., n, n) vectors.  One body treats every input
@@ -181,8 +194,8 @@ def jacobi_eigen_sym(a):
     the results.  Only the rotation sweep depends on the input's shape: a
     lone matrix runs ``_sweep_floats`` and a stack ``_sweep_stack``.  Both
     give each entry the same IEEE operations, in the same order, as a numpy
-    loop rotating one matrix's whole rows and columns, so every member
-    equals, bitwise, the lone call on that matrix.
+    loop rotating one matrix's whole rows and columns round by round, so
+    every member equals, bitwise, the lone call on that matrix.
 
     Raises
     ------
@@ -193,6 +206,9 @@ def jacobi_eigen_sym(a):
     NotSymmetric
         If max|a - a^T| > 1e-10 max(1, max|a|), for a stack in some
         member; the message names the first.
+    NotConverged
+        If a matrix, for a stack some member, is still above the stop test
+        after the last sweep; the message names the first.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] == 0:
@@ -215,7 +231,9 @@ def jacobi_eigen_sym(a):
     a[norm == 0.0] = 0.0  # a zero matrix gives +0.0 values and the identity
     # [a; v] of each member, (m, 2n, n): one column rotation updates both.
     full = np.concatenate((a, np.eye(n)[None].repeat(len(a), 0)), axis=1)
-    (_sweep_floats if len(shape) == 2 else _sweep_stack)(full, norm)
+    unconverged = (_sweep_floats if len(shape) == 2 else _sweep_stack)(full, norm)
+    what = f"is not converged after {_MAX_SWEEPS} sweeps"
+    _refuse(unconverged, shape, NotConverged, what)
 
     diag, member = np.arange(n), np.arange(len(a))[:, None]
     values = np.ldexp(full[:, diag, diag], e[:, None])
@@ -238,99 +256,146 @@ def _frobenius(x):
     return np.sqrt(flat[:, None, :] @ flat[:, :, None]).reshape(-1)
 
 
+@functools.cache
+def _rounds(n):
+    """The round-robin order of one sweep over an n x n matrix: a tuple of
+    rounds, each a tuple of disjoint pairs (p, q), p < q, so that every
+    pair p < q lies in exactly one round.  Indices 0..m-1, m = n rounded
+    up to even, take the circle method: round r pairs r with m - 1 and
+    (r - k) mod (m - 1) with (r + k) mod (m - 1) for k = 1..m/2 - 1, and
+    for odd n the index m - 1 = n stands for idle.  So even n has n - 1
+    rounds of n/2 pairs, and odd n has n rounds of (n - 1)/2 pairs."""
+    m = n + n % 2
+    rounds = []
+    for r in range(m - 1):
+        pairs = [(r, m - 1)] + [
+            ((r - k) % (m - 1), (r + k) % (m - 1)) for k in range(1, m // 2)
+        ]
+        rounds.append(tuple(sorted((min(x), max(x)) for x in pairs if n not in x)))
+    return tuple(pairs for pairs in rounds if pairs)
+
+
 def _sweep_floats(full, norm):
     """Rotate the one member [a; v] of ``full`` (1, 2n, n) in place, as
-    nested lists of Python floats, one scalar at a time.  Each entry gets
-    the IEEE operations of the numpy loop; v's columns turn with a's,
-    which gives the same bits, since v's update never reads a's rows."""
+    nested lists of Python floats, one scalar at a time, and return
+    whether it is still above its stop test after ``_MAX_SWEEPS`` sweeps,
+    as a (1,) mask.  Each round takes every angle from the round's starting
+    a, then turns the columns of all its pairs in a and v, then their rows
+    in a, so each entry gets the IEEE operations of ``_sweep_stack`` and of
+    the numpy loop; v's columns turn with a's, which gives the same bits,
+    since v's update never reads a's rows."""
     n = full.shape[2]
     w = full[0].tolist()
     a = w[:n]  # a's rows, shared with w
-    for _ in range(_MAX_SWEEPS):
+    for sweep in range(_MAX_SWEEPS + 1):
         off = np.array(a)
         np.fill_diagonal(off, 0.0)
-        if np.linalg.norm(off) <= 1e-14 * norm[0]:
+        converged = np.linalg.norm(off) <= 1e-14 * norm[0]
+        if converged or sweep == _MAX_SWEEPS:
             break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                row_p, row_q = a[p], a[q]
-                apq = row_p[q]
+        for pairs in _rounds(n):
+            turns = []
+            for p, q in pairs:
+                apq = a[p][q]
                 if abs(apq) <= 1e-300:
                     continue
                 # Stable rotation angle (Golub & Van Loan sym. Schur 2x2).
-                tau = (row_q[q] - row_p[p]) / (2.0 * apq)
+                tau = (a[q][q] - a[p][p]) / (2.0 * apq)
                 if tau >= 0.0:
                     t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
                 else:
                     t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
                 c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                # Columns p and q of a and v, then rows p and q of a.
-                for row in w:
+                turns.append((p, q, c, t * c))
+            # Columns p and q of a and v, then rows p and q of a.
+            for row in w:
+                for p, q, c, s in turns:
                     rp, rq = row[p], row[q]
                     row[p] = c * rp - s * rq
                     row[q] = s * rp + c * rq
+            for p, q, c, s in turns:
+                row_p, row_q = a[p], a[q]
                 for k in range(n):
                     rp, rq = row_p[k], row_q[k]
                     row_p[k] = c * rp - s * rq
                     row_q[k] = s * rp + c * rq
     full[0] = w
+    return np.array([not converged])
 
 
-def _rotate(x, y, c, s, skip):
-    """x, y <- c x - s y, s x + c y in place, except in the members where
-    the mask ``skip`` holds."""
-    new_x = c * x - s * y
-    new_y = s * x + c * y
-    if skip is not None:
-        new_x = np.where(skip, x, new_x)
-        new_y = np.where(skip, y, new_y)
-    x[...] = new_x
-    y[...] = new_y
+@functools.cache
+def _round_slots(n):
+    """For each round of ``_rounds(n)``, the flat indices into the rows of
+    [a; v] (2n, n, ...) reshaped to (2n * n, ...): its pairs' a_pq, a_qq
+    and a_pp (3, k), the entries of their columns p and q in a and v
+    (2, 2n, k), and those of their rows p and q in a (2, n, k)."""
+    rows, cols = np.arange(n)[:, None], np.arange(2 * n)[:, None]
+    slots = []
+    for pairs in _rounds(n):
+        p, q = np.array(pairs).T
+        slots.append(
+            (
+                np.array([p * n + q, q * n + q, p * n + p]),
+                np.array([cols * n + p, cols * n + q]),
+                np.array([p * n + rows, q * n + rows]),
+            )
+        )
+    return tuple(slots)
 
 
 def _sweep_stack(full, norm):
     """Rotate the members [a; v] of ``full`` (m, 2n, n) in place, all at
-    once on numpy rows and columns.
+    once on numpy rows and columns, and return the (m,) mask of the members
+    still above their stop test after ``_MAX_SWEEPS`` sweeps.
 
-    Each rotation (p, q) runs once on rows and columns holding every
-    sweeping member, with that member's own c and s, and leaves unchanged
-    the members whose a_pq it skips.  A member leaves at the first sweep
-    whose stop test it meets, and a zero matrix never enters.  The member
-    axis is last.
+    Each round runs once on rows and columns holding every sweeping member:
+    the angles of all its pairs, each member with its own c and s, then the
+    columns of all its pairs in a and v, then their rows in a, leaving
+    unchanged the members whose a_pq it skips.  A member leaves at the
+    first sweep whose stop test it meets, and a zero matrix never enters.
+    The member axis is last, and a round gathers and scatters its entries
+    by flat index (``_round_slots``).
     """
     n = full.shape[2]
     full = full.transpose(1, 2, 0)
     # w holds the members still sweeping; take and compress keep it
-    # C-contiguous.
+    # C-contiguous, so ``flat`` is a view of it.
     live = np.flatnonzero(norm != 0.0)
     w, limit = full.take(live, axis=2), 1e-14 * norm[live]
     diag = np.arange(n)
     # tau * tau overflows to inf as a Python float does, giving t = 0.
     with np.errstate(over="ignore"):
-        for _ in range(_MAX_SWEEPS):
+        for sweep in range(_MAX_SWEEPS + 1):
             off = w[:n].transpose(2, 0, 1).copy()
             off[:, diag, diag] = 0.0
             done = _frobenius(off) <= limit
             if done.any():
                 full[..., live[done]] = w[..., done]
                 w, live, limit = w.compress(~done, axis=2), live[~done], limit[~done]
-            if not live.size:
+            if not live.size or sweep == _MAX_SWEEPS:
                 break
-            for p in range(n - 1):
-                for q in range(p + 1, n):
-                    apq = w[p, q]
-                    skip = np.abs(apq) <= 1e-300
-                    if skip.any():
-                        apq = np.where(skip, 1.0, apq)  # no 0 / 0 where unused
-                    else:
-                        skip = None
-                    tau = (w[q, q] - w[p, p]) / (2.0 * apq)
-                    root = np.sqrt(1.0 + tau * tau)
-                    t = np.where(tau >= 0.0, 1.0, -1.0) / (np.abs(tau) + root)
-                    c = 1.0 / np.sqrt(1.0 + t * t)
-                    s = t * c
-                    # Columns p and q of a and v, then rows p and q of a.
-                    _rotate(w[:, p], w[:, q], c, s, skip)
-                    _rotate(w[p], w[q], c, s, skip)
+            flat = w.reshape(2 * n * n, -1)
+            for angle, cols, rows in _round_slots(n):
+                apq, aqq, app = flat[angle]
+                skip = np.abs(apq) <= 1e-300
+                if skip.any():
+                    apq = np.where(skip, 1.0, apq)  # no 0 / 0 where unused
+                else:
+                    skip = None
+                tau = (aqq - app) / (2.0 * apq)
+                root = np.sqrt(1.0 + tau * tau)
+                t = np.where(tau >= 0.0, 1.0, -1.0) / (np.abs(tau) + root)
+                c = 1.0 / np.sqrt(1.0 + t * t)
+                s = t * c
+                # (c x - s y, s x + c y) as (c, s) x + (-s, c) y: the same
+                # bits, since u - v is u + (-v).
+                turn = np.array(((c, s), (-s, c)))[:, :, None]
+                # Columns p and q of a and v, then rows p and q of a.
+                for slots in (cols, rows):
+                    xy = flat[slots]
+                    new = turn[0] * xy[0] + turn[1] * xy[1]
+                    flat[slots] = new if skip is None else np.where(skip, xy, new)
         full[..., live] = w
+    unconverged = np.zeros(len(norm), dtype=bool)
+    unconverged[live] = True
+    return unconverged

@@ -3,6 +3,8 @@
 import functools
 import importlib
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -185,8 +187,10 @@ def test_witnessless_check_reports_its_largest_error(monkeypatch):
 def test_trials_reuse_their_samples_decomposition(monkeypatch):
     # eigen_unit_norm decomposes nothing but its sample, drawn before the
     # check runs: one svd32 call per round of candidates, on exactly that
-    # round's candidates, then one on the accepted stack, whose
-    # decomposition the three eigensystems (I1, I2, I3) take.
+    # round's candidates, and none after.  The accepted candidates keep
+    # their rounds' decompositions, which equal bitwise the decomposition of
+    # the accepted stack, and the three eigensystems (I1, I2, I3) take
+    # that one object.
     rounds, decomposed, results, seen = [], [], [], []
     random_f, svd32 = checks.random_f, checks.svd_mod.svd32
     eigensystem = checks.inv_mod.invariant_eigensystem
@@ -213,11 +217,16 @@ def test_trials_reuse_their_samples_decomposition(monkeypatch):
     candidates = np.concatenate(rounds)
     accepted = candidates[svd32(candidates).sigma[1] > checks._MIN_SIGMA2]
     assert len(rounds) == 2 and len(accepted) == 300
-    assert len(decomposed) == len(rounds) + 1
-    for got, want in zip(decomposed, rounds + [accepted]):
+    assert len(decomposed) == len(rounds)
+    for got, want in zip(decomposed, rounds):
         assert np.array_equal(got, want)
     assert len(seen) == 3
-    assert all(s is results[-1] for s in seen)
+    assert all(s is seen[0] for s in seen)
+    kept, whole = seen[0], svd32(accepted)
+    for got, want in zip(
+        (kept.u, *kept.sigma, kept.v), (whole.u, *whole.sigma, whole.v)
+    ):
+        assert got.tobytes() == want.tobytes()
 
 
 _SAMPLED = [fn for fn in checks._CHECKS if getattr(fn, "sample", None) is not None]
@@ -388,3 +397,38 @@ def test_random_f_samplers():
     (a,) = checks._random_sym6(rng, 5)
     assert a.shape == (5, 6, 6)
     assert np.array_equal(a, np.swapaxes(a, 1, 2))
+
+
+def test_jacobi_gives_a_nan_row_to_an_unconverged_member(monkeypatch):
+    # After one sweep only the diagonal member has met its stop test: it
+    # keeps the bits of its lone call, and the others read NaN.
+    monkeypatch.setattr(checks.orc_mod, "_MAX_SWEEPS", 1)
+    (a,) = checks._random_sym6(np.random.default_rng(5), 3)
+    a[1] = np.diag([4.0, -1.0, 2.0, 0.0, 3.0, 1.0])
+    values, vectors = checks._jacobi(a)
+    lone = me.jacobi_eigen_sym(a[1])
+    assert values[1].tobytes() == lone.values.tobytes()
+    assert vectors[1].tobytes() == lone.vectors.tobytes()
+    for k in (0, 2):
+        assert np.isnan(values[k]).all() and np.isnan(vectors[k]).all()
+
+
+def test_an_unconverged_oracle_fails_its_check_instead_of_raising(monkeypatch):
+    monkeypatch.setattr(checks.orc_mod, "_MAX_SWEEPS", 1)
+    r = _run_only(monkeypatch, "oracle_jacobi", seed=0, trials=30)
+    assert not r.passed and math.isnan(r.max_error)
+    assert np.array(r.counterexample).shape == (6, 6)
+
+
+def _perfbench_constant(name):
+    run = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+    return int(re.search(rf"^{name} = (\d+)$", run.read_text(), re.M).group(1))
+
+
+def test_every_report_passes_at_the_benchmark_check_seeds():
+    # The benchmark's correctness gate for its check workload, run here
+    # first: run_checks at its trials for every seed it cycles through.
+    trials = _perfbench_constant("CHECK_TRIALS")
+    for seed in range(_perfbench_constant("CHECK_SEEDS")):
+        for r in me.run_checks(seed=seed, trials=trials):
+            assert r.passed, f"seed {seed}, {r.name}: {r.max_error} > {r.tol}"

@@ -190,6 +190,41 @@ def test_total_energy_checks_positions_like_assemble():
                 fn(problem, bad)
 
 
+@pytest.mark.parametrize("gravity", [None, (0.05, -0.02, -0.1)])
+def test_total_energy_on_a_stack_equals_single_calls_bitwise(gravity):
+    rest, tris = me.grid_mesh(5, 4)
+    problem = me.make_problem(rest, tris, me.NeoHookeanSheet(1.3), gravity=gravity)
+    rng = np.random.default_rng(48)
+    for k in (1, 2, 36):
+        x = 1.2 * rest + 0.05 * rng.uniform(-1.0, 1.0, size=(k,) + rest.shape)
+        energy = me.total_energy(problem, x)
+        assert energy.shape == (k,)
+        for member, e in zip(x, energy):
+            assert np.float64(me.total_energy(problem, member)).tobytes() == e.tobytes()
+    assert me.total_energy(problem, np.zeros((0,) + rest.shape)).shape == (0,)
+
+
+def test_total_energy_checks_a_stack_of_positions():
+    rest, tris = me.grid_mesh(2, 2)
+    problem = me.make_problem(rest, tris, me.NeoHookeanSheet(1.0))
+    x = np.stack([rest, rest, rest])
+    x[1, 4, 2] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        me.total_energy(problem, x)
+    for bad in (x[:, :8], x[..., :2], x[None], rest[0]):
+        with pytest.raises(ValueError, match=r"positions must be \(9, 3\) or a stack"):
+            me.total_energy(problem, bad)
+    # assemble takes one state only.
+    with pytest.raises(ValueError, match=r"positions must be \(9, 3\), got"):
+        me.assemble(problem, np.stack([rest, rest]))
+    # A collapsed element names its flat index over the stack's elements.
+    x[1] = rest
+    x[2, 4] = x[2, 0]
+    with pytest.raises(me.DomainError) as exc:
+        me.total_energy(problem, x)
+    assert exc.value.element // len(problem.elements) == 2
+
+
 def test_pin_mask_and_apply():
     problem = me.make_problem(
         UNIT_TRIANGLE, TRI, me.NeoHookeanSheet(1.0), pins={1: [5.0, 6.0, 7.0]}

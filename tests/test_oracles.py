@@ -4,7 +4,9 @@ before anything else trusts them."""
 import numpy as np
 import pytest
 
+from membrane_eig import oracles
 from membrane_eig import (
+    NotConverged,
     NotSymmetric,
     fd_gradient,
     fd_hessian6,
@@ -270,6 +272,35 @@ def test_jacobi_on_an_empty_stack():
     assert spec.vectors.shape == (0, 5, 5)
 
 
+def _round_robin(n):
+    # The circle method's rounds, m = n rounded up to even: round r pairs
+    # r with m - 1 and every i < j < m - 1 with i + j = 2r mod (m - 1).
+    # For odd n, the index n is idle.
+    m = n + n % 2
+    for r in range(m - 1):
+        pairs = [(r, m - 1)] + [
+            (i, j)
+            for i in range(m - 1)
+            for j in range(i + 1, m - 1)
+            if (i + j - 2 * r) % (m - 1) == 0
+        ]
+        pairs = [pq for pq in pairs if n not in pq]
+        if pairs:
+            yield tuple(sorted(pairs))
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_jacobi_rounds_cover_each_pair_once_with_disjoint_pairs(n):
+    rounds = oracles._rounds(n)
+    assert list(rounds) == list(_round_robin(n))
+    assert len(rounds) == (0 if n == 1 else n - 1 + n % 2)
+    pairs = [pq for pairs in rounds for pq in pairs]
+    assert sorted(pairs) == [(p, q) for p in range(n) for q in range(p + 1, n)]
+    for pairs in rounds:
+        assert len(pairs) == n // 2
+        assert len({i for pq in pairs for i in pq}) == 2 * len(pairs)
+
+
 def _numpy_jacobi(a):
     # The reference: the rotation loop on numpy rows and columns.
     a = np.asarray(a, dtype=float)
@@ -290,30 +321,32 @@ def _numpy_jacobi(a):
     for _ in range(60):
         if off(a) <= 1e-14 * norm:
             break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
+        for pairs in _round_robin(n):
+            # Every angle of the round from its starting a, then the
+            # columns of all its pairs, then their rows.
+            turns = []
+            for i, j in pairs:
+                apq = a[i, j]
                 if abs(apq) <= 1e-300:
                     continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
+                tau = (a[j, j] - a[i, i]) / (2.0 * apq)
                 if tau >= 0.0:
                     t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
                 else:
                     t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
                 c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                rp = a[:, p].copy()
-                rq = a[:, q].copy()
-                a[:, p] = c * rp - s * rq
-                a[:, q] = s * rp + c * rq
-                rp = a[p, :].copy()
-                rq = a[q, :].copy()
-                a[p, :] = c * rp - s * rq
-                a[q, :] = s * rp + c * rq
-                rp = v[:, p].copy()
-                rq = v[:, q].copy()
-                v[:, p] = c * rp - s * rq
-                v[:, q] = s * rp + c * rq
+                turns.append((i, j, c, t * c))
+            for m in (a, v):
+                for i, j, c, s in turns:
+                    rp = m[:, i].copy()
+                    rq = m[:, j].copy()
+                    m[:, i] = c * rp - s * rq
+                    m[:, j] = s * rp + c * rq
+            for i, j, c, s in turns:
+                rp = a[i, :].copy()
+                rq = a[j, :].copy()
+                a[i, :] = c * rp - s * rq
+                a[j, :] = s * rp + c * rq
 
     values = np.diag(a).copy()
     order = np.argsort(values, kind="stable")
@@ -421,9 +454,11 @@ def test_jacobi_stack_equals_lone_calls_on_sheet_hessians():
 
 
 def test_jacobi_stack_equals_lone_calls_when_every_member_skips_a_pair():
-    # a_01 is exactly 0.0 in every member, so the first rotation of the
-    # first sweep skips all of them at once: each must come through it
-    # unchanged, and the masked rotation must form no warning.
+    # a_01 is exactly 0.0 in every member, so in the first sweep the round
+    # holding (0, 1) skips that pair in all of them at once (for n = 3 it
+    # is the round's only pair; for n = 6 the round turns two others):
+    # each must come through it unchanged, and the masked rotation must
+    # form no warning.
     rng = np.random.default_rng(45)
     for n in (3, 6):
         stack = np.array([_symmetric(rng, n) for _ in range(4)])
@@ -449,3 +484,28 @@ def test_jacobi_stack_equals_lone_calls_on_mixed_members():
     ]
     for stack in (np.array(members), np.array(members).reshape(2, 4, 6, 6)):
         _assert_jacobi_matches_numpy_loop(stack)
+
+
+def test_jacobi_raises_on_an_unconverged_matrix(monkeypatch):
+    # One sweep leaves a random 6x6 matrix far above its stop test.
+    monkeypatch.setattr(oracles, "_MAX_SWEEPS", 1)
+    a = _symmetric(np.random.default_rng(46), 6)
+    with pytest.raises(NotConverged, match="matrix is not converged after 1 "):
+        jacobi_eigen_sym(a)
+    # A diagonal matrix and a 2x2 one meet the stop test within one sweep.
+    jacobi_eigen_sym(np.diag([3.0, 1.0, 2.0]))
+    jacobi_eigen_sym(np.array([[2.0, 1.0], [1.0, 2.0]]))
+
+
+def test_jacobi_names_the_first_unconverged_member_of_a_stack(monkeypatch):
+    monkeypatch.setattr(oracles, "_MAX_SWEEPS", 1)
+    rng = np.random.default_rng(47)
+    members = [np.zeros((6, 6)), np.diag(np.arange(6.0))]
+    stack = np.array(members + [_symmetric(rng, 6), _symmetric(rng, 6)])
+    with pytest.raises(NotConverged, match="member 2 is not converged"):
+        jacobi_eigen_sym(stack)
+    # The member's flat index over the batch axes.
+    with pytest.raises(NotConverged, match="member 2 is not converged"):
+        jacobi_eigen_sym(stack.reshape(2, 2, 6, 6))
+    spec = jacobi_eigen_sym(stack[:2])
+    assert np.array_equal(spec.values[1], np.arange(6.0))

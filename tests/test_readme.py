@@ -67,7 +67,7 @@ def test_json_scene_example_loads(tmp_path):
 def test_package_all_is_the_module_lists():
     names = ["__version__"] + [n for m in MODULES for n in m.__all__]
     assert me.__all__ == names
-    assert len(set(names)) == len(names) == 40
+    assert len(set(names)) == len(names) == 41
     assert all(getattr(me, n) is getattr(m, n) for m in MODULES for n in m.__all__)
 
 
