@@ -38,7 +38,6 @@ kernel is the one checked.
 Jacobi oracle route on the checks' sheet and admissible sampler.
 """
 
-import contextlib
 import dataclasses
 import functools
 import math
@@ -186,19 +185,12 @@ def _jacobi(stack):
     one call: its (B..., m) eigenvalues and (B..., m, m) eigenvectors.
     Both are NaN for a matrix the oracle rejects as asymmetric or leaves
     unconverged, so that trial fails with its witness instead of raising
-    out of run_checks.  Only when some matrix is unconverged does the
-    oracle then run once on each matrix alone, which gives the same bits."""
+    out of run_checks."""
     values, vectors = np.full(stack.shape[:-1], np.nan), np.full(stack.shape, np.nan)
     kept = ~orc_mod._asymmetric(stack)
-    try:
-        spec = orc_mod.jacobi_eigen_sym(stack[kept])
-    except orc_mod.NotConverged:
-        for k in zip(*np.nonzero(kept)):
-            with contextlib.suppress(orc_mod.NotConverged):
-                spec = orc_mod.jacobi_eigen_sym(stack[k])
-                values[k], vectors[k] = spec.values, spec.vectors
-    else:
-        values[kept], vectors[kept] = spec.values, spec.vectors
+    spec, unconverged = orc_mod._eigen_sym(stack[kept])
+    kept[kept] = ~unconverged
+    values[kept], vectors[kept] = spec.values[~unconverged], spec.vectors[~unconverged]
     return values, vectors
 
 
@@ -589,7 +581,7 @@ def _check_fem_descent(rng):
     if np.max(np.abs(grad)) <= 1e-8:
         return []
     tau = fem_mod._tikhonov_shift(problem.model)
-    d = fem_mod._newton_direction(hess, grad, tau)
+    d = fem_mod._newton_direction(hess, grad, tau, problem._pattern.diag)
     return max(0.0, float(grad @ d)) / max(1.0, float(grad @ grad))
 
 

@@ -25,11 +25,14 @@ Array layout.  A problem with E triangles keeps its rest data as arrays
 built once by ``make_problem``: ``elements`` (E, 3) vertex indices,
 ``dm_inv`` (E, 2, 2), ``area`` (E,), the vertex weights B (E, 3, 2) with
 F = sum_v x_v B[v]^T over an element's vertices (x0, x1, x2), the
-pinned-dof mask, and the Hessian's CSR sparsity pattern with the CSR slot
-of each of the E * 81 element entries.  Pins hold whole vertices, so that
-is the pattern of the E * 9 vertex pairs with each pair expanded to a 3x3
-block, built by arithmetic on their ``np.unique``; a pinned vertex's rows
-hold only their diagonal entry.  ``total_energy`` and
+pinned-dof mask, and the Newton system's CSR sparsity pattern with the CSR
+slot of each of the E * 81 element entries and of each of the 3N diagonal
+entries.  Pins hold whole vertices, so that is the pattern of the E * 9
+vertex pairs with each pair expanded to a 3x3 block, built by arithmetic
+on their ``np.unique``: every free vertex has its own block, one in no
+triangle too, and a pinned vertex's rows hold only their diagonal entry.
+The pattern's arrays are read-only, and every assembled Hessian shares its
+``indices`` and ``indptr``.  ``total_energy`` and
 ``assemble`` then run every kernel once over all elements: F (E, 3, 2),
 the invariants (I2 = |F|^2, I3 = |f1 x f2|, I1 = sqrt(I2 + 2 I3), so no
 SVD is needed for the energy), one ``model.derivs`` call on (E,) arrays,
@@ -115,16 +118,18 @@ class LinearSolveFailed(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class _HessianPattern:
-    """CSR structure of the assembled Hessian.  ``slots`` gives, for each
-    of the E * 81 element entries in (element, row, column) order, its
-    index in the CSR data, or ``nnz`` for an entry in a pinned row or
-    column; ``diag_slots`` are the pinned dofs' diagonal entries.  Slots
-    are intp, so that ``np.bincount`` takes them without a converted copy."""
+    """CSR structure of the Newton system, H and H + tau I alike.  ``slots``
+    gives, for each of the E * 81 element entries in (element, row, column)
+    order, its index in the CSR data, or ``nnz`` for an entry in a pinned
+    row or column; ``diag`` gives the index of each of the 3N diagonal
+    entries.  Every array is read-only: each assembled Hessian shares
+    ``indptr`` and ``indices``.  Slots are intp, so that ``np.bincount``
+    takes them without a converted copy."""
 
     indptr: np.ndarray
     indices: np.ndarray
     slots: np.ndarray
-    diag_slots: np.ndarray
+    diag: np.ndarray
 
     @property
     def nnz(self):
@@ -137,12 +142,14 @@ def _hessian_pattern(elements, pinned, index):
     n = pinned.size
     k = np.arange(3, dtype=index)
     # The E * 9 vertex pairs in (element, row vertex, column vertex) order;
-    # a pair with a pinned vertex gets a key past every kept one.
+    # a pair with a pinned vertex gets a key past every kept one.  Each free
+    # vertex's own pair follows, so one in no triangle has its block too.
     keys = np.repeat(elements, 3, axis=1).astype(np.int64).ravel() * n
     keys += np.tile(elements, 3).ravel()
     drop = pinned[elements]
     keys[(np.repeat(drop, 3, axis=1) | np.tile(drop, 3)).ravel()] = n * n
-    uniq, inverse = np.unique(keys, return_inverse=True)
+    free = np.flatnonzero(~pinned)
+    uniq, inverse = np.unique(np.append(keys, free * (n + 1)), return_inverse=True)
     rows, cols = np.divmod(uniq[: np.searchsorted(uniq, n * n)], n)
     degree = np.bincount(rows, minlength=n)
     width = 3 * degree + pinned  # entries in each of a vertex's 3 rows
@@ -156,11 +163,16 @@ def _hessian_pattern(elements, pinned, index):
     block[:-1] = (start[rows] + 3 * j + width[rows] * k[:, None]).T[:, :, None] + k
     indices = np.empty(nnz, dtype=index)
     indices[block[:-1]] = 3 * cols[:, None, None] + k
-    pv = np.flatnonzero(pinned)
-    diag_slots = (start[pv, None] + k).ravel()
-    indices[diag_slots] = (3 * pv[:, None] + k).ravel()
-    slots = block[inverse.reshape(-1, 3, 3)].transpose(0, 1, 3, 2, 4).ravel()
-    return _HessianPattern(indptr, indices, slots, diag_slots)
+    # A pinned row's one entry is its diagonal; a free vertex's diagonal
+    # entries are those of its own pair's block.
+    diag = indptr[:-1].astype(np.intp)
+    diag.reshape(n, 3)[free] = block[inverse[keys.size :, None], k, k]
+    indices[diag] = np.arange(3 * n)
+    inverse = inverse[: keys.size].reshape(-1, 3, 3)
+    slots = block[inverse].transpose(0, 1, 3, 2, 4).ravel()
+    for a in (indptr, indices, slots, diag):
+        a.flags.writeable = False
+    return _HessianPattern(indptr, indices, slots, diag)
 
 
 @dataclass(frozen=True, eq=False)
@@ -488,7 +500,9 @@ def assemble(problem, positions, project=True):
     Element Hessians are the closed-form eigensystems, eigenvalue-clamped
     when ``project`` is true, taken to the 9 vertex coordinates.
     Pinned degrees of freedom get zero gradient entries and identity
-    rows/columns.
+    rows/columns.  The Hessian's CSR shares the problem's read-only
+    ``indices`` and ``indptr``, so an in-place structure edit such as
+    ``eliminate_zeros()`` raises; copy them before editing the structure.
 
     Returns
     -------
@@ -509,10 +523,8 @@ def assemble(problem, positions, project=True):
     pattern = problem._pattern
     data = np.bincount(pattern.slots, weights=he.ravel(), minlength=pattern.nnz + 1)
     data = data[: pattern.nnz]
-    data[pattern.diag_slots] = 1.0
-    hess = sp.csr_matrix(
-        (data, pattern.indices.copy(), pattern.indptr.copy()), shape=(3 * n, 3 * n)
-    )
+    data[pattern.diag[problem._pinned]] = 1.0
+    hess = sp.csr_matrix((data, pattern.indices, pattern.indptr), shape=(3 * n, 3 * n))
     return energy, grad, hess
 
 
@@ -534,38 +546,23 @@ def _tikhonov_shift(model):
     return (1e-8 / 6.0) * float(np.max(rest.values))
 
 
-def _shifted_csc(hess, tau):
-    """H + tau I as a CSC matrix, from the CSR arrays of a symmetric H whose
-    every nonempty row holds its diagonal entry, as an assembled Hessian's
-    does.  The CSR arrays of H are the CSC arrays of H^T = H, so nothing is
-    converted.  An empty row, a dof of a free vertex in no triangle, gets a
-    diagonal entry tau of its own, so the shift reaches every dof."""
-    n = hess.shape[0]
-    indptr, indices = hess.indptr, hess.indices
-    counts = np.diff(indptr)
-    rows = np.repeat(np.arange(n, dtype=indices.dtype), counts)
-    data = hess.data.copy()
-    data[np.flatnonzero(indices == rows)] += tau
-    empty = np.flatnonzero(counts == 0)
-    if empty.size:
-        at = indptr[empty]
-        data = np.insert(data, at, tau)
-        indices = np.insert(indices, at, empty)
-        indptr = indptr + np.searchsorted(empty, np.arange(n + 1)).astype(indptr.dtype)
-    return sp.csc_matrix((data, indices, indptr), shape=(n, n))
-
-
-def _newton_direction(hess, grad, tau):
+def _newton_direction(hess, grad, tau, diag):
     """Solve (H + tau I) d = -g with one symmetric-mode sparse LU
     factorization: minimum-degree ordering on A + A^T, applied to rows and
     columns alike, and pivots taken on the diagonal, as suits a symmetric
-    positive definite A.  ``hess`` is an assembled Hessian (see
-    ``_shifted_csc``).  Raises LinearSolveFailed if the factorization fails
-    or d is not a finite descent direction."""
+    positive definite A.  ``hess`` is a symmetric CSR H that stores every
+    diagonal entry, at the data indices ``diag``, as an assembled Hessian
+    does with its pattern's ``diag``.  A = H + tau I is a copy of H's data
+    with tau added at ``diag``, on H's own index arrays: the CSR arrays of
+    H are the CSC arrays of H^T = H, so nothing is converted, and H is left
+    unchanged.  Raises LinearSolveFailed if the factorization fails or d is
+    not a finite descent direction."""
     _load_scipy()
+    data = hess.data.copy()
+    data[diag] += tau
     try:
         lu = spla.splu(
-            _shifted_csc(hess, tau),
+            sp.csc_matrix((data, hess.indices, hess.indptr), shape=hess.shape),
             permc_spec="MMD_AT_PLUS_A",
             diag_pivot_thresh=0.0,
             options={"SymmetricMode": True},
@@ -637,7 +634,7 @@ def newton_solve(problem, x0, config=None, callback=None):
             termination = "max_iters"
             break
 
-        d = _newton_direction(hess, grad, tau)
+        d = _newton_direction(hess, grad, tau, problem._pattern.diag)
         gd = float(grad @ d)
         step = 1.0
         accepted = False

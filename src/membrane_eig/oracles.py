@@ -187,15 +187,16 @@ def jacobi_eigen_sym(a):
     component is made positive so the output is deterministic.
 
     ``a`` is one n x n matrix or a (B..., n, n) stack of them, giving
-    (B..., n) values and (B..., n, n) vectors.  One body treats every input
-    as an (m, n, n) stack: it checks the members, rotates a copy of each
-    scaled by a power of two near 1 / max|a| (so the loop holds for entries
-    of any magnitude, and the values are scaled back), and sorts and signs
-    the results.  Only the rotation sweep depends on the input's shape: a
-    lone matrix runs ``_sweep_floats`` and a stack ``_sweep_stack``.  Both
-    give each entry the same IEEE operations, in the same order, as a numpy
-    loop rotating one matrix's whole rows and columns round by round, so
-    every member equals, bitwise, the lone call on that matrix.
+    (B..., n) values and (B..., n, n) vectors.  One body, ``_eigen_sym``,
+    treats every input as an (m, n, n) stack: it checks the members,
+    rotates a copy of each scaled by a power of two near 1 / max|a| (so the
+    loop holds for entries of any magnitude, and the values are scaled
+    back), and sorts and signs the results.  Only the rotation sweep
+    depends on the input's shape: a lone matrix runs ``_sweep_floats`` and
+    a stack ``_sweep_stack``.  Both give each entry the same IEEE
+    operations, in the same order, as a numpy loop rotating one matrix's
+    whole rows and columns round by round, so every member equals,
+    bitwise, the lone call on that matrix.
 
     Raises
     ------
@@ -210,6 +211,17 @@ def jacobi_eigen_sym(a):
         If a matrix, for a stack some member, is still above the stop test
         after the last sweep; the message names the first.
     """
+    spectrum, unconverged = _eigen_sym(a)
+    what = f"is not converged after {_MAX_SWEEPS} sweeps"
+    _refuse(unconverged, spectrum.vectors.shape, NotConverged, what)
+    return spectrum
+
+
+def _eigen_sym(a):
+    """``jacobi_eigen_sym`` up to its convergence test: the spectrum of
+    ``a``, and the (B...) mask of the matrices still above the stop test
+    after the last sweep, whose values and vectors are where that sweep
+    left them.  It raises the other errors of ``jacobi_eigen_sym``."""
     a = np.asarray(a, dtype=float)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] == 0:
         raise ValueError(
@@ -232,8 +244,6 @@ def jacobi_eigen_sym(a):
     # [a; v] of each member, (m, 2n, n): one column rotation updates both.
     full = np.concatenate((a, np.eye(n)[None].repeat(len(a), 0)), axis=1)
     unconverged = (_sweep_floats if len(shape) == 2 else _sweep_stack)(full, norm)
-    what = f"is not converged after {_MAX_SWEEPS} sweeps"
-    _refuse(unconverged, shape, NotConverged, what)
 
     diag, member = np.arange(n), np.arange(len(a))[:, None]
     values = np.ldexp(full[:, diag, diag], e[:, None])
@@ -242,10 +252,11 @@ def jacobi_eigen_sym(a):
     vectors = np.swapaxes(full[:, n:], 1, 2)[member, order]
     lead = np.argmax(np.abs(vectors), axis=2)
     vectors = np.where(vectors[member, diag, lead, None] < 0.0, -vectors, vectors)
-    return Spectrum6(
+    spectrum = Spectrum6(
         values=values[member, order].reshape(shape[:-1]),
         vectors=np.swapaxes(vectors, 1, 2).reshape(shape),
     )
+    return spectrum, unconverged.reshape(shape[:-2])
 
 
 def _frobenius(x):

@@ -171,9 +171,9 @@ def test_witnessless_check_reports_its_largest_error(monkeypatch):
     original = checks.fem_mod._newton_direction
     grads = []
 
-    def ascent_first(hess, grad, tau):
+    def ascent_first(hess, grad, tau, diag):
         grads.append(grad)
-        return grad if len(grads) == 1 else original(hess, grad, tau)
+        return grad if len(grads) == 1 else original(hess, grad, tau, diag)
 
     monkeypatch.setattr(checks.fem_mod, "_newton_direction", ascent_first)
     r = _run_only(monkeypatch, "fem_descent", seed=0, trials=300)
@@ -319,15 +319,13 @@ def test_jacobi_gives_a_nan_row_only_to_the_rejected_member(monkeypatch):
     dense = me.project_psd(me.energy_eigensystem(checks._SHEET, me.svd32(f))).dense6()
     dense[2] = _skewed(dense[2])
     calls = []
-    oracle = checks.orc_mod.jacobi_eigen_sym
-    monkeypatch.setattr(
-        checks.orc_mod, "jacobi_eigen_sym", lambda a: calls.append(a) or oracle(a)
-    )
+    oracle = checks.orc_mod._eigen_sym
+    monkeypatch.setattr(checks.orc_mod, "_eigen_sym", lambda a: calls.append(a) or oracle(a))
     values, vectors = checks._jacobi(dense)
     assert len(calls) == 1
     assert np.isnan(values[2]).all() and np.isnan(vectors[2]).all()
     for k in (0, 1, 3, 4):
-        lone = oracle(dense[k])
+        lone = me.jacobi_eigen_sym(dense[k])
         assert values[k].tobytes() == lone.values.tobytes()
         assert vectors[k].tobytes() == lone.vectors.tobytes()
 
@@ -401,11 +399,15 @@ def test_random_f_samplers():
 
 def test_jacobi_gives_a_nan_row_to_an_unconverged_member(monkeypatch):
     # After one sweep only the diagonal member has met its stop test: it
-    # keeps the bits of its lone call, and the others read NaN.
+    # keeps the bits of its lone call, and the others read NaN, all from
+    # one oracle call.
     monkeypatch.setattr(checks.orc_mod, "_MAX_SWEEPS", 1)
     (a,) = checks._random_sym6(np.random.default_rng(5), 3)
     a[1] = np.diag([4.0, -1.0, 2.0, 0.0, 3.0, 1.0])
+    calls, oracle = [], checks.orc_mod._eigen_sym
+    monkeypatch.setattr(checks.orc_mod, "_eigen_sym", lambda a: calls.append(a) or oracle(a))
     values, vectors = checks._jacobi(a)
+    assert len(calls) == 1
     lone = me.jacobi_eigen_sym(a[1])
     assert values[1].tobytes() == lone.values.tobytes()
     assert vectors[1].tobytes() == lone.vectors.tobytes()

@@ -257,14 +257,17 @@ def test_assemble_pinned_rows_are_identity():
 
 def dof_key_pattern(dofs, pinned):
     """The Hessian's CSR pattern built from the E * 81 dof-pair keys: the
-    construction that the vertex-pair one replaced, kept as its oracle."""
+    construction that the vertex-pair one replaced, kept as its oracle.
+    Every free dof also keys the three entries of its vertex's own block in
+    its row, and every pinned dof its diagonal entry."""
     ndof = pinned.size
     rows = np.repeat(dofs, 9, axis=1).ravel()
     cols = np.tile(dofs, (1, 9)).ravel()
     keep = ~(pinned[rows] | pinned[cols])
-    diag = np.flatnonzero(pinned)
+    free, diag = np.flatnonzero(~pinned), np.flatnonzero(pinned)
+    own = free[:, None] * ndof + 3 * (free // 3)[:, None] + np.arange(3)
     keys = np.concatenate(
-        [rows[keep].astype(np.int64) * ndof + cols[keep], diag * (ndof + 1)]
+        [rows[keep].astype(np.int64) * ndof + cols[keep], own.ravel(), diag * (ndof + 1)]
     )
     uniq, inverse = np.unique(keys, return_inverse=True)
     kept = np.count_nonzero(keep)
@@ -276,7 +279,6 @@ def dof_key_pattern(dofs, pinned):
         "indptr": indptr,
         "indices": (uniq % ndof).astype(dofs.dtype),
         "slots": slots,
-        "diag_slots": inverse[kept:],
     }
 
 
@@ -314,37 +316,66 @@ PATTERN_CASES = {
 }
 
 
+def pattern_problem(case):
+    """The problem and rest positions of a ``PATTERN_CASES`` case, or of
+    "loose_vertex_inside": a free vertex in no triangle numbered between
+    others."""
+    if case == "loose_vertex_inside":
+        loose = with_loose_vertex(*taut_grid(4, 1.2), pinned=False)
+        rest, tris, pins = shuffled(*loose, seed=3)
+    else:
+        rest, tris, pins = PATTERN_CASES[case]()
+    return me.make_problem(rest, tris, me.NeoHookeanSheet(1.0), pins=pins), rest
+
+
 @pytest.mark.parametrize("case", list(PATTERN_CASES))
 def test_hessian_pattern_matches_dof_key_construction(case):
-    rest, tris, pins = PATTERN_CASES[case]()
-    problem = me.make_problem(rest, tris, me.NeoHookeanSheet(1.0), pins=pins)
+    problem, _ = pattern_problem(case)
     expected = dof_key_pattern(problem._dofs, problem._pinned)
     index = problem._dofs.dtype
     for name, want in expected.items():
         got = getattr(problem._pattern, name)
         assert np.array_equal(got, want), name
-        # The dof-key slots are index-typed, and its diag_slots are a slice
-        # of np.unique's intp inverse.  Now the slots are intp, the type
-        # np.bincount takes, and diag_slots are index-typed like indices.
+        # The dof-key slots are index-typed.  The pattern's slots are intp,
+        # the type np.bincount takes.
         assert got.dtype == (np.intp if name == "slots" else index), name
-    # diag_slots must not be a view that keeps a larger array alive.
-    diag = problem._pattern.diag_slots
-    base = diag
+
+
+@pytest.mark.parametrize("case", list(PATTERN_CASES) + ["loose_vertex_inside"])
+def test_hessian_pattern_diag_is_each_rows_diagonal_entry(case):
+    # diag, found by arithmetic on the vertex pairs, against a search of
+    # every row for its own column.
+    pattern = pattern_problem(case)[0]._pattern
+    indptr, indices = pattern.indptr, pattern.indices
+    search = [
+        indptr[r] + np.flatnonzero(indices[indptr[r] : indptr[r + 1]] == r)[0]
+        for r in range(len(indptr) - 1)
+    ]
+    assert np.array_equal(pattern.diag, search)
+    assert pattern.diag.dtype == np.intp
+    # Each array is read-only, and diag is no view keeping a larger array
+    # alive.
+    for name in ("indptr", "indices", "slots", "diag"):
+        assert not getattr(pattern, name).flags.writeable, name
+    base = pattern.diag
     while base.base is not None:
         base = base.base
-        assert base.nbytes <= diag.nbytes
+        assert base.nbytes <= pattern.diag.nbytes
 
 
 @pytest.mark.parametrize("pinned", [False, True])
-def test_vertex_in_no_triangle_has_empty_or_identity_rows(pinned):
+def test_vertex_in_no_triangle_has_zero_or_identity_rows(pinned):
     rest, tris, pins = with_loose_vertex(*taut_grid(4, 1.2), pinned=pinned)
     problem = me.make_problem(rest, tris, me.NeoHookeanSheet(1.0), pins=pins)
     x = problem.apply_pins(rest)
     _, grad, hess = me.assemble(problem, x)
-    # Its rows hold no entry when it is free, and only a 1 on the diagonal
-    # when it is pinned.
-    assert np.diff(hess.indptr)[-3:].tolist() == ([1, 1, 1] if pinned else [0, 0, 0])
-    assert np.array_equal(hess.toarray()[-3:], np.eye(len(x) * 3)[-3:] * pinned)
+    # Its rows hold its own 3x3 block, all zeros, when it is free, and only
+    # a 1 on the diagonal when it is pinned.
+    n = 3 * len(x)
+    assert np.diff(hess.indptr)[-3:].tolist() == ([1, 1, 1] if pinned else [3, 3, 3])
+    own = [n - 3, n - 2, n - 1]
+    assert hess.indices[hess.indptr[-4] :].tolist() == ([] if pinned else own * 2) + own
+    assert np.array_equal(hess.toarray()[-3:], np.eye(n)[-3:] * pinned)
     assert np.all(grad[-3:] == 0.0)
     # With no load such a vertex has no force on it, and the solve leaves
     # it where it started.
@@ -354,24 +385,79 @@ def test_vertex_in_no_triangle_has_empty_or_identity_rows(pinned):
 
 
 @pytest.mark.parametrize("case", list(PATTERN_CASES) + ["loose_vertex_inside"])
-def test_shifted_system_is_shifted_on_every_dof(case):
-    # _shifted_csc reads H's CSR arrays as CSC arrays, that is as H^T, adds
-    # tau to each stored diagonal entry, and gives an empty row (a free
-    # vertex in no triangle, here also one numbered between others) an
-    # entry tau of its own.
-    if case == "loose_vertex_inside":
-        loose = with_loose_vertex(*taut_grid(4, 1.2), pinned=False)
-        rest, tris, pins = shuffled(*loose, seed=3)
-    else:
-        rest, tris, pins = PATTERN_CASES[case]()
-    problem = me.make_problem(rest, tris, me.NeoHookeanSheet(1.0), pins=pins)
+def test_shifted_system_is_shifted_on_every_dof(case, monkeypatch):
+    # The matrix _newton_direction factors is H's CSR arrays read as CSC
+    # arrays, that is H^T, with tau added at every diagonal entry, a free
+    # vertex in no triangle's included; it shares H's index arrays.
+    problem, rest = pattern_problem(case)
     x = problem.apply_pins(rest)
     x = x + 0.01 * np.random.default_rng(1).standard_normal(x.shape)
-    _, _, hess = me.assemble(problem, problem.apply_pins(x))
-    shifted = fem._shifted_csc(hess, 1e-3)
+    _, grad, hess = me.assemble(problem, problem.apply_pins(x))
+    systems, splu = [], fem.spla.splu
+
+    def capturing(matrix, **kwargs):
+        systems.append(matrix)
+        return splu(matrix, **kwargs)
+
+    monkeypatch.setattr(fem.spla, "splu", capturing)
+    fem._newton_direction(hess, grad, 1e-3, problem._pattern.diag)
+    (shifted,) = systems
     assert shifted.format == "csc"
     want = hess.T.toarray() + 1e-3 * np.eye(hess.shape[0])
     assert np.array_equal(shifted.toarray(), want)
+    for name in ("indices", "indptr"):
+        assert np.shares_memory(getattr(shifted, name), getattr(hess, name)), name
+
+
+def csr_bytes(hess):
+    return [a.tobytes() for a in (hess.data, hess.indices, hess.indptr)]
+
+
+def test_directions_and_solves_leave_every_hessian_unchanged(monkeypatch):
+    # H + tau I shares H's index arrays; neither a direction nor a whole
+    # solve may change an assembled H's data, indices or indptr.
+    rest, tris, pins = taut_grid(6, 1.4)
+    gravity = [0.0, 0.0, -0.01]
+    problem = me.make_problem(rest, tris, me.NeoHookeanSheet(1.0), pins=pins, gravity=gravity)
+    x = problem.apply_pins(rest)
+    _, grad, hess = me.assemble(problem, x)
+    before = csr_bytes(hess)
+    tau = fem._tikhonov_shift(problem.model)
+    fem._newton_direction(hess, grad, tau, problem._pattern.diag)
+    assert csr_bytes(hess) == before
+    assembled, assemble = [], fem.assemble
+
+    def recording(*args, **kwargs):
+        out = assemble(*args, **kwargs)
+        assembled.append((out[2], csr_bytes(out[2])))
+        return out
+
+    monkeypatch.setattr(fem, "assemble", recording)
+    _, report = me.newton_solve(problem, x)
+    assert report.termination == "converged"
+    assert len(assembled) == report.iterations + 1
+    for hess, before in assembled:
+        assert csr_bytes(hess) == before
+
+
+def test_eliminate_zeros_on_an_assembled_hessian_raises():
+    # A flat sheet stores exact zeros, its in-plane/normal couplings.  Its
+    # index arrays are the problem's, read-only: an in-place structure edit
+    # raises and leaves the next assembly's structure as it was.
+    rest, tris, pins = taut_grid(6, 1.5)
+    problem = me.make_problem(rest, tris, me.NeoHookeanSheet(1.0), pins=pins)
+    x = problem.apply_pins(rest)
+    _, _, hess = me.assemble(problem, x)
+    assert np.count_nonzero(hess.data == 0.0) > 0
+    indices, indptr = hess.indices.copy(), hess.indptr.copy()
+    for name in ("indices", "indptr"):
+        assert np.shares_memory(getattr(hess, name), getattr(problem._pattern, name))
+    with pytest.raises(ValueError, match="read-only"):
+        hess.eliminate_zeros()
+    _, _, again = me.assemble(problem, x)
+    assert np.array_equal(again.indices, indices)
+    assert np.array_equal(again.indptr, indptr)
+    assert np.array_equal(hess.indptr, indptr)
 
 
 def test_gravity_on_a_vertex_in_no_triangle_is_rejected():
@@ -776,7 +862,7 @@ def test_newton_direction_says_why_it_failed(monkeypatch, d, why):
     monkeypatch.setattr(fem.spla, "splu", fixed)
     hess = fem.sp.identity(3, format="csr")
     with pytest.raises(me.LinearSolveFailed, match=why):
-        fem._newton_direction(hess, np.ones(3), 1e-8)
+        fem._newton_direction(hess, np.ones(3), 1e-8, np.arange(3))
     assert len(calls) == 1
 
 
@@ -831,8 +917,8 @@ def test_symmetric_factorization_pivots_on_the_diagonal(tmp_path, monkeypatch):
         factors.append(original_splu(*args, **kwargs))
         return factors[-1]
 
-    def recording_direction(hess, grad, tau):
-        systems.append((hess, grad, tau, original_direction(hess, grad, tau)))
+    def recording_direction(hess, grad, tau, diag):
+        systems.append((hess, grad, tau, original_direction(hess, grad, tau, diag)))
         return systems[-1][-1]
 
     monkeypatch.setattr(fem.spla, "splu", recording_splu)

@@ -509,3 +509,22 @@ def test_jacobi_names_the_first_unconverged_member_of_a_stack(monkeypatch):
         jacobi_eigen_sym(stack.reshape(2, 2, 6, 6))
     spec = jacobi_eigen_sym(stack[:2])
     assert np.array_equal(spec.values[1], np.arange(6.0))
+
+
+def test_jacobi_private_entry_returns_the_unconverged_mask(monkeypatch):
+    # The stacked entry behind jacobi_eigen_sym raises nothing for an
+    # unconverged member: it returns the mask over the batch axes, and
+    # every converged member's bits equal its lone public call.
+    monkeypatch.setattr(oracles, "_MAX_SWEEPS", 1)
+    rng = np.random.default_rng(47)
+    members = [np.zeros((6, 6)), np.diag(np.arange(6.0))]
+    stack = np.array(members + [_symmetric(rng, 6), _symmetric(rng, 6)])
+    spec, unconverged = oracles._eigen_sym(stack.reshape(2, 2, 6, 6))
+    assert unconverged.tolist() == [[False, False], [True, True]]
+    assert spec.values.shape == (2, 2, 6) and spec.vectors.shape == (2, 2, 6, 6)
+    for k, member in enumerate(members):
+        lone = jacobi_eigen_sym(member)
+        assert spec.values[0, k].tobytes() == lone.values.tobytes()
+        assert spec.vectors[0, k].tobytes() == lone.vectors.tobytes()
+    _, lone_unconverged = oracles._eigen_sym(stack[2])
+    assert lone_unconverged.shape == () and lone_unconverged
